@@ -67,6 +67,11 @@
 #                     byte-identical); a malformed netlist must exit 2
 #                     with its source position before anything is
 #                     submitted
+#  17. molbench smoke  the benchmark's own tests pass, and a 2-second
+#                     ssa_sweep run exits 0 with "correct": true — the
+#                     benchmark's correctness oracles (filter outputs,
+#                     counter values, stiff-clock levels) over the exact
+#                     SSA, tau and hybrid engines
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -452,5 +457,13 @@ set -e
   || { echo "ci: bad netlist not rejected (exited $NL_BAD_STATUS, want 2)" >&2; exit 1; }
 echo "$NL_BAD_MSG" | grep -q "line 2" \
   || { echo "ci: bad-netlist error does not carry its source position: $NL_BAD_MSG" >&2; exit 1; }
+
+echo "== molbench smoke: benchmark tests and correctness oracles =="
+cargo test --release --offline --manifest-path molbench/Cargo.toml
+MOLBENCH_LINE="$(cargo run --quiet --release --offline --manifest-path molbench/Cargo.toml -- \
+  --workload ssa_sweep --seed 1 --seconds 2 --trace 0 | tail -n 1)" \
+  || { echo "ci: molbench ssa_sweep smoke run failed" >&2; exit 1; }
+echo "$MOLBENCH_LINE" | grep -Eq '"correct": ?true' \
+  || { echo "ci: molbench ssa_sweep smoke run not correct: $MOLBENCH_LINE" >&2; exit 1; }
 
 echo "ci: all stages passed"

@@ -248,7 +248,9 @@ impl<'a, 'h> LaneState<'a, 'h> {
         } else {
             None
         };
-        let mut trace = Trace::with_capacity(crn, expected_records(&opts, lane.schedule));
+        let span = opts.t_end() - opts.t_start();
+        let records = expected_records(span, opts.record_interval(), lane.schedule);
+        let mut trace = Trace::with_capacity(crn, records);
         let triggers = TriggerRuntime::new(lane.schedule, lane.init.as_slice());
         if done.is_none() {
             trace.push(opts.t_start(), lane.init.as_slice());

@@ -13,6 +13,7 @@
 use crate::compiled::CompiledCrn;
 use crate::events::TriggerRuntime;
 use crate::metrics::SimMetrics;
+use crate::ssa::DependencyGraph;
 use crate::{Schedule, SimError, SsaOptions, State, Trace};
 use molseq_crn::Crn;
 use rand::rngs::StdRng;
@@ -98,34 +99,6 @@ impl IndexedHeap {
     }
 }
 
-/// Builds the reaction dependency graph: `deps[j]` lists the reactions
-/// whose propensity can change when reaction `j` fires (including `j`
-/// itself).
-fn dependency_graph(compiled: &CompiledCrn) -> Vec<Vec<usize>> {
-    let m = compiled.reaction_count();
-    let n = compiled.species_count();
-    // species → reactions that read it
-    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for j in 0..m {
-        for &(i, _) in compiled.reactant_indices(j) {
-            readers[i].push(j);
-        }
-    }
-    (0..m)
-        .map(|j| {
-            let mut deps: Vec<usize> = compiled
-                .changed_species(j)
-                .iter()
-                .flat_map(|&(i, _)| readers[i].iter().copied())
-                .collect();
-            deps.push(j);
-            deps.sort_unstable();
-            deps.dedup();
-            deps
-        })
-        .collect()
-}
-
 /// Validated entry point over a precompiled network: what the
 /// [`Simulation`](crate::Simulation) builder dispatches to for
 /// [`SimMethod::Nrm`](crate::SimMethod::Nrm).
@@ -136,24 +109,7 @@ pub(crate) fn run_nrm(
     schedule: &Schedule,
     opts: &SsaOptions,
 ) -> Result<Trace, SimError> {
-    if compiled.species_count() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: compiled.species_count(),
-            expected: crn.species_count(),
-        });
-    }
-    if init.len() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: init.len(),
-            expected: crn.species_count(),
-        });
-    }
-    if !opts.t_start().is_finite() || !opts.t_end().is_finite() || opts.t_end() <= opts.t_start() {
-        return Err(SimError::BadTimeSpan {
-            t_start: opts.t_start(),
-            t_end: opts.t_end(),
-        });
-    }
+    crate::ssa::validate(crn, compiled, init, opts)?;
 
     let mut stats = SimMetrics {
         seed: opts.seed(),
@@ -168,7 +124,7 @@ pub(crate) fn run_nrm(
 }
 
 // Zero-propensity audit note: unlike the direct method's prefix-sum scan
-// (see `crate::ssa::select_reaction`), the next-reaction method cannot
+// (see `crate::ssa::PropensityRow::select`), the next-reaction method cannot
 // select a zero-propensity reaction by round-off — a reaction with zero
 // propensity is assigned an *infinite* tentative time, and the heap
 // minimum is compared against the finite stop time before firing.
@@ -185,7 +141,7 @@ fn nrm_core(
         n.push(crate::ssa::to_count(v)?);
     }
     let m = compiled.reaction_count();
-    let deps = dependency_graph(compiled);
+    let deps = DependencyGraph::new(compiled);
     let mut rng = StdRng::seed_from_u64(opts.seed());
     let mut t = opts.t_start();
     let mut trace = Trace::new(crn);
@@ -270,7 +226,7 @@ fn nrm_core(
         for &(i, _) in compiled.changed_species(reaction) {
             f64_state[i] = n[i] as f64;
         }
-        for &dep in &deps[reaction] {
+        for &dep in deps.of(reaction) {
             let a = compiled.propensity(dep, &n);
             heap.update(dep, draw(&mut rng, a, t));
         }
@@ -348,11 +304,11 @@ mod tests {
             .parse()
             .unwrap();
         let compiled = CompiledCrn::new(&crn, &SimSpec::default());
-        let deps = dependency_graph(&compiled);
+        let deps = DependencyGraph::new(&compiled);
         // firing r0 (A->B) changes A and B: affects r0, r1 (reads B), r2 (reads A)
-        assert_eq!(deps[0], vec![0, 1, 2]);
+        assert_eq!(deps.of(0), [0, 1, 2]);
         // firing r1 (B->C) changes B and C: affects r0? no (r0 reads A only)
-        assert_eq!(deps[1], vec![1, 2]);
+        assert_eq!(deps.of(1), [1, 2]);
     }
 
     #[test]

@@ -400,7 +400,9 @@ pub(crate) fn run_ode(
         .as_ref()
         .map_or(0, crate::stiff::RosenbrockWork::factorizations);
     let mut t = opts.t_start;
-    let mut trace = Trace::with_capacity(crn, expected_records(opts, schedule));
+    let span = opts.t_end - opts.t_start;
+    let mut trace =
+        Trace::with_capacity(crn, expected_records(span, opts.record_interval, schedule));
     trace.push(t, &workspace.x);
 
     let mut triggers = TriggerRuntime::new(schedule, &workspace.x);
@@ -484,10 +486,9 @@ pub(crate) fn run_ode(
 /// one per recording interval plus one per injection plus the endpoints.
 /// Trigger firings add a few more; the estimate is a capacity hint, not a
 /// bound, and is capped so absurd intervals cannot over-reserve.
-pub(crate) fn expected_records(opts: &OdeOptions, schedule: &Schedule) -> usize {
-    let span = opts.t_end - opts.t_start;
-    let regular = if opts.record_interval.is_finite() && opts.record_interval > 0.0 {
-        (span / opts.record_interval).ceil() as usize
+pub(crate) fn expected_records(span: f64, record_interval: f64, schedule: &Schedule) -> usize {
+    let regular = if record_interval.is_finite() && record_interval > 0.0 {
+        (span / record_interval).ceil() as usize
     } else {
         0
     };

@@ -7,13 +7,14 @@
 //! get before the synchronous scheme starts mis-transferring.
 
 use crate::compiled::CompiledCrn;
-use crate::events::TriggerRuntime;
+use crate::events::{Injection, TriggerRuntime};
 use crate::metrics::{sinks_eq, MetricsSink, SimMetrics};
-use crate::ode::StepHook;
+use crate::ode::{expected_records, StepHook};
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cmp::Ordering;
 use std::ops::ControlFlow;
 
 /// Options controlling one stochastic run.
@@ -178,16 +179,15 @@ impl<'h> SsaOptions<'h> {
     }
 }
 
-/// Validated entry point over a precompiled network: what the
-/// [`Simulation`](crate::Simulation) builder dispatches to for
-/// [`SimMethod::Ssa`](crate::SimMethod::Ssa).
-pub(crate) fn run_ssa(
+/// The checks every stochastic driver runs before its core: network and
+/// initial state sized to `crn`, and a finite, non-empty time span.
+/// Failures here are not core errors — no metrics are flushed.
+pub(crate) fn validate(
     crn: &Crn,
     compiled: &CompiledCrn,
     init: &State,
-    schedule: &Schedule,
     opts: &SsaOptions,
-) -> Result<Trace, SimError> {
+) -> Result<(), SimError> {
     if compiled.species_count() != crn.species_count() {
         return Err(SimError::DimensionMismatch {
             supplied: compiled.species_count(),
@@ -206,134 +206,416 @@ pub(crate) fn run_ssa(
             t_end: opts.t_end,
         });
     }
-
-    let mut stats = SimMetrics {
-        seed: opts.seed,
-        final_time: opts.t_start,
-        ..SimMetrics::default()
-    };
-    let result = ssa_core(crn, compiled, init, schedule, opts, &mut stats);
-    // flush even on failure: an interrupted or step-limited run still
-    // reports the work it did
-    SimMetrics::flush(opts.metrics, stats);
-    result
+    Ok(())
 }
 
-fn ssa_core(
+/// Validated entry point over a precompiled network: what the
+/// [`Simulation`](crate::Simulation) builder dispatches to for
+/// [`SimMethod::Ssa`](crate::SimMethod::Ssa).
+pub(crate) fn run_ssa(
     crn: &Crn,
     compiled: &CompiledCrn,
     init: &State,
     schedule: &Schedule,
     opts: &SsaOptions,
-    stats: &mut SimMetrics,
 ) -> Result<Trace, SimError> {
-    let mut n: Vec<i64> = Vec::with_capacity(init.len());
-    for &v in init.as_slice() {
-        n.push(to_count(v)?);
+    validate(crn, compiled, init, opts)?;
+    let mut run = match SsaRun::new(crn, compiled, init, schedule, *opts) {
+        Ok(run) => run,
+        Err(e) => {
+            // a core error: flush the (empty) work counters
+            SimMetrics::flush(opts.metrics, SsaRun::initial_stats(opts));
+            return Err(e);
+        }
+    };
+    let deps = DependencyGraph::new(compiled);
+    let outcome = loop {
+        match run.step(&deps) {
+            Ok(false) => {}
+            Ok(true) => break Ok(()),
+            Err(e) => break Err(e),
+        }
+    };
+    let (trace, stats) = run.finish();
+    // flush even on failure: an interrupted or step-limited run still
+    // reports the work it did
+    SimMetrics::flush(opts.metrics, stats);
+    outcome.map(|()| trace)
+}
+
+/// The reaction dependency graph in CSR form: [`of(j)`](Self::of) lists,
+/// ascending, the reactions whose propensity can change when reaction `j`
+/// fires — those reading a species `j` changes, and `j` itself.
+///
+/// Built per run (or per batch call), never inside [`CompiledCrn`]: the
+/// compile and rebind paths stay as cheap as before.
+#[derive(Default)]
+pub(crate) struct DependencyGraph {
+    /// `deps[start[j]..start[j + 1]]` are reaction `j`'s dependents.
+    start: Vec<usize>,
+    deps: Vec<usize>,
+}
+
+impl DependencyGraph {
+    pub(crate) fn new(compiled: &CompiledCrn) -> Self {
+        let mut graph = DependencyGraph::default();
+        graph.rebuild(compiled);
+        graph
     }
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut t = opts.t_start;
-    let mut trace = Trace::new(crn);
-    let mut f64_state: Vec<f64> = n.iter().map(|&v| v as f64).collect();
-    trace.push(t, &f64_state);
-    let mut triggers = TriggerRuntime::new(schedule, &f64_state);
 
-    let injections = schedule.sorted_injections();
-    let mut next_injection = 0usize;
-    let mut next_record = opts.t_start + opts.record_interval;
-    let mut events = 0usize;
+    /// Rebuilds the graph for `compiled`, reusing the buffers.
+    pub(crate) fn rebuild(&mut self, compiled: &CompiledCrn) {
+        let m = compiled.reaction_count();
+        let n = compiled.species_count();
+        // species → reactions that read it, in CSR form
+        let mut reader_start = vec![0usize; n + 1];
+        for j in 0..m {
+            for &(i, _) in compiled.reactant_indices(j) {
+                reader_start[i + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            reader_start[i + 1] += reader_start[i];
+        }
+        let mut readers = vec![0usize; reader_start[n]];
+        let mut fill = reader_start[..n].to_vec();
+        for j in 0..m {
+            for &(i, _) in compiled.reactant_indices(j) {
+                readers[fill[i]] = j;
+                fill[i] += 1;
+            }
+        }
+        // one allocation per buffer, sized by an upper bound (the graph
+        // is rebuilt per run: growth by reallocation fragments the heap of
+        // a long-lived process)
+        let reads = |i: usize| &readers[reader_start[i]..reader_start[i + 1]];
+        let bound: usize = (0..m)
+            .map(|j| {
+                let changed = compiled.changed_species(j);
+                1 + changed.iter().map(|&(i, _)| reads(i).len()).sum::<usize>()
+            })
+            .sum();
+        self.deps.clear();
+        self.deps.reserve(bound);
+        self.start.clear();
+        self.start.reserve(m + 1);
+        self.start.push(0);
+        // `seen[k] == j` once reaction `k` is listed among `j`'s dependents
+        let mut seen = vec![usize::MAX; m];
+        for j in 0..m {
+            let from = self.deps.len();
+            let changed = compiled.changed_species(j);
+            let candidates = changed.iter().flat_map(|&(i, _)| reads(i));
+            for &k in std::iter::once(&j).chain(candidates) {
+                if seen[k] != j {
+                    seen[k] = j;
+                    self.deps.push(k);
+                }
+            }
+            self.deps[from..].sort_unstable();
+            self.start.push(self.deps.len());
+        }
+    }
 
-    loop {
-        let injection_time = injections
-            .get(next_injection)
+    /// The reactions (ascending) whose propensity firing `j` can change.
+    pub(crate) fn of(&self, j: usize) -> &[usize] {
+        &self.deps[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// A run's cached propensity row and its running prefix sums.
+///
+/// `prefix[j]` is `((0 + a_0) + a_1) + … + a_j`, accumulated in index
+/// order — exactly the additions the textbook direct method makes when it
+/// re-sums every propensity per event, so [`total`](Self::total) and
+/// [`select`](Self::select) are bitwise what a full recompute gives.
+/// After a firing only the fired reaction's dependents are re-evaluated,
+/// and the prefix is re-summed from the lowest index whose value actually
+/// changed, continuing from the untouched `prefix[k − 1]`.
+#[derive(Default)]
+pub(crate) struct PropensityRow {
+    props: Vec<f64>,
+    prefix: Vec<f64>,
+}
+
+impl PropensityRow {
+    /// Re-evaluates every propensity at `n` and re-sums the prefix.
+    pub(crate) fn recompute(&mut self, compiled: &CompiledCrn, n: &[i64]) {
+        let m = compiled.reaction_count();
+        self.props.clear();
+        self.props.extend((0..m).map(|j| compiled.propensity(j, n)));
+        self.prefix.resize(m, 0.0);
+        self.resum_from(0);
+    }
+
+    /// Re-evaluates the reactions in `changed` (ascending) at `n` — every
+    /// reaction whose inputs moved since the row was last current — and
+    /// re-sums the prefix from the first one whose value changed.
+    pub(crate) fn refresh(&mut self, compiled: &CompiledCrn, n: &[i64], changed: &[usize]) {
+        let mut dirty = None;
+        for &j in changed {
+            let a = compiled.propensity(j, n);
+            if a.to_bits() != self.props[j].to_bits() {
+                self.props[j] = a;
+                dirty.get_or_insert(j);
+            }
+        }
+        if let Some(k) = dirty {
+            self.resum_from(k);
+        }
+    }
+
+    fn resum_from(&mut self, k: usize) {
+        let mut acc = if k == 0 { 0.0 } else { self.prefix[k - 1] };
+        for (p, &a) in self.prefix[k..].iter_mut().zip(&self.props[k..]) {
+            acc += a;
+            *p = acc;
+        }
+    }
+
+    /// The propensity total `a0`.
+    pub(crate) fn total(&self) -> f64 {
+        self.prefix.last().copied().unwrap_or(0.0)
+    }
+
+    /// Selects the reaction to fire for `pick`, uniform in `[0, a0)`: the
+    /// first `j` with `pick < prefix[j]` (a binary search — the prefix is
+    /// non-decreasing), necessarily a reaction with positive propensity.
+    ///
+    /// Round-off can leave `pick >= a0` (e.g. `u · a0` rounding up to
+    /// `a0`). The fallback for that case must be the last reaction with
+    /// *positive* propensity: defaulting to the last reaction
+    /// unconditionally could fire a zero-propensity reaction whose
+    /// reactants are exhausted and drive copy numbers negative.
+    pub(crate) fn select(&self, pick: f64) -> usize {
+        // `!(pick < acc)`, spelled so a NaN pick scans past every entry
+        // into the fallback, as the linear scan does
+        let j = self
+            .prefix
+            .partition_point(|&acc| acc.partial_cmp(&pick) != Some(Ordering::Greater));
+        if j < self.prefix.len() {
+            return j;
+        }
+        self.props.iter().rposition(|&a| a > 0.0).unwrap_or(0)
+    }
+}
+
+/// One direct-method run in flight: everything its event loop owns.
+///
+/// [`run_ssa`] steps one run to completion; the batched driver
+/// ([`run_ssa_batch`](crate::run_ssa_batch)) steps many round-robin.
+/// Both go through [`step`](Self::step), the one implementation of the
+/// Gillespie event step.
+pub(crate) struct SsaRun<'a, 'h> {
+    compiled: &'a CompiledCrn,
+    schedule: &'a Schedule,
+    opts: SsaOptions<'h>,
+    injections: Vec<Injection>,
+    next_injection: usize,
+    triggers: TriggerRuntime,
+    /// Integer copy numbers: the state the propensities read.
+    n: Vec<i64>,
+    /// The `f64` mirror of `n` that traces record and triggers read.
+    f: Vec<f64>,
+    /// A trigger wrote to `f` since the last firing, so it may differ
+    /// from `n` outside the next fired reaction's species: the next
+    /// firing refreshes the whole mirror.
+    f_stale: bool,
+    row: PropensityRow,
+    rng: StdRng,
+    trace: Trace,
+    stats: SimMetrics,
+    t: f64,
+    next_record: f64,
+    events: usize,
+}
+
+impl<'a, 'h> SsaRun<'a, 'h> {
+    /// Starts a run at `opts.t_start()`: converts `init` to copy numbers
+    /// (fractional or negative amounts are a core error), records the
+    /// first sample and evaluates the full propensity row. Call
+    /// [`validate`] first.
+    pub(crate) fn new(
+        crn: &Crn,
+        compiled: &'a CompiledCrn,
+        init: &State,
+        schedule: &'a Schedule,
+        opts: SsaOptions<'h>,
+    ) -> Result<Self, SimError> {
+        let mut n = Vec::with_capacity(init.len());
+        for &v in init.as_slice() {
+            n.push(to_count(v)?);
+        }
+        let f: Vec<f64> = n.iter().map(|&v| v as f64).collect();
+        let records = expected_records(opts.t_end - opts.t_start, opts.record_interval, schedule);
+        // an eighth more for the samples trigger firings push: growing a
+        // long trace by doubling costs time and peak memory
+        let mut trace = Trace::with_capacity(crn, records + records / 8);
+        trace.push(opts.t_start, &f);
+        let mut row = PropensityRow::default();
+        row.recompute(compiled, &n);
+        Ok(SsaRun {
+            compiled,
+            schedule,
+            injections: schedule.sorted_injections(),
+            next_injection: 0,
+            triggers: TriggerRuntime::new(schedule, &f),
+            n,
+            f,
+            f_stale: false,
+            row,
+            rng: StdRng::seed_from_u64(opts.seed),
+            trace,
+            stats: Self::initial_stats(&opts),
+            t: opts.t_start,
+            next_record: opts.t_start + opts.record_interval,
+            events: 0,
+            opts,
+        })
+    }
+
+    /// The work counters of a run that has not fired yet.
+    pub(crate) fn initial_stats(opts: &SsaOptions) -> SimMetrics {
+        SimMetrics {
+            seed: opts.seed,
+            final_time: opts.t_start,
+            ..SimMetrics::default()
+        }
+    }
+
+    /// The run's options.
+    pub(crate) fn options(&self) -> &SsaOptions<'h> {
+        &self.opts
+    }
+
+    /// The network the run simulates.
+    pub(crate) fn compiled(&self) -> &'a CompiledCrn {
+        self.compiled
+    }
+
+    /// The trace so far and the work counters.
+    pub(crate) fn finish(self) -> (Trace, SimMetrics) {
+        (self.trace, self.stats)
+    }
+
+    /// One iteration of the direct method: draws the waiting time from
+    /// the cached `a0`, then either fires one reaction, or — when the
+    /// next injection or the end of the span comes first — records the
+    /// plateau up to it and applies the injection. `deps` must be the
+    /// dependency graph of the run's network structure.
+    ///
+    /// Returns `Ok(true)` once the span is complete (final sample
+    /// pushed), `Ok(false)` to keep stepping, `Err` on a core failure.
+    pub(crate) fn step(&mut self, deps: &DependencyGraph) -> Result<bool, SimError> {
+        let t_end = self.opts.t_end;
+        let injection_time = self
+            .injections
+            .get(self.next_injection)
             .map_or(f64::INFINITY, |inj| inj.time);
 
-        // Total propensity and waiting time.
-        let mut a0 = 0.0;
-        for j in 0..compiled.reaction_count() {
-            a0 += compiled.propensity(j, &n);
-        }
+        // Waiting time from the cached total propensity.
+        let a0 = self.row.total();
         let t_next = if a0 > 0.0 {
-            let u: f64 = 1.0 - rng.random::<f64>();
-            t - u.ln() / a0
+            let u: f64 = 1.0 - self.rng.random::<f64>();
+            self.t - u.ln() / a0
         } else {
             f64::INFINITY
         };
 
         // Which comes first: reaction, injection, or end of span?
-        let stop = opts.t_end.min(injection_time);
+        let stop = t_end.min(injection_time);
         if t_next >= stop {
             // Record the plateau up to `stop`.
-            record_until(&mut trace, &f64_state, &mut next_record, stop, opts);
-            t = stop;
-            stats.final_time = t;
-            if injection_time <= opts.t_end {
-                let inj = &injections[next_injection];
-                n[inj.species.index()] += to_count(inj.amount)?;
-                f64_state[inj.species.index()] = n[inj.species.index()] as f64;
-                trace.push(t, &f64_state);
-                next_injection += 1;
-                for fired in triggers.poll(schedule, t, &mut f64_state) {
-                    trace.push_mark(t, fired);
-                    sync_back(&mut n, &f64_state)?;
-                }
-                continue;
+            record_until(
+                &mut self.trace,
+                &self.f,
+                &mut self.next_record,
+                stop,
+                &self.opts,
+            );
+            self.t = stop;
+            self.stats.final_time = stop;
+            if injection_time > t_end {
+                self.trace.push(stop, &self.f);
+                return Ok(true);
             }
-            break;
+            let inj = &self.injections[self.next_injection];
+            let i = inj.species.index();
+            self.n[i] += to_count(inj.amount)?;
+            self.f[i] = self.n[i] as f64;
+            self.trace.push(stop, &self.f);
+            self.next_injection += 1;
+            for fired in self.triggers.poll(self.schedule, stop, &mut self.f) {
+                self.trace.push_mark(stop, fired);
+                sync_back(&mut self.n, &self.f)?;
+                self.f_stale = true;
+            }
+            self.row.recompute(self.compiled, &self.n);
+            return Ok(false);
         }
 
         // Fire one reaction.
-        if events >= opts.max_events {
+        if self.events >= self.opts.max_events {
             return Err(SimError::StepLimitExceeded {
-                reached: t,
-                t_end: opts.t_end,
-                max_steps: opts.max_events,
+                reached: self.t,
+                t_end,
+                max_steps: self.opts.max_events,
             });
         }
-        events += 1;
-        stats.ssa_events = events as u64;
-        if let Some(hook) = opts.step_hook {
-            if let ControlFlow::Break(reason) = hook(events as u64, t) {
-                return Err(SimError::Interrupted { time: t, reason });
+        self.events += 1;
+        self.stats.ssa_events = self.events as u64;
+        if let Some(hook) = self.opts.step_hook {
+            if let ControlFlow::Break(reason) = hook(self.events as u64, self.t) {
+                return Err(SimError::Interrupted {
+                    time: self.t,
+                    reason,
+                });
             }
         }
-        record_until(&mut trace, &f64_state, &mut next_record, t_next, opts);
-        t = t_next;
-        stats.final_time = t;
-        let pick: f64 = rng.random::<f64>() * a0;
-        let chosen = select_reaction(
-            compiled.reaction_count(),
-            |j| compiled.propensity(j, &n),
-            pick,
+        record_until(
+            &mut self.trace,
+            &self.f,
+            &mut self.next_record,
+            t_next,
+            &self.opts,
         );
-        compiled.fire(chosen, &mut n);
-        for (f, &c) in f64_state.iter_mut().zip(&n) {
-            *f = c as f64;
-        }
-        if !schedule.triggers().is_empty() {
-            for fired in triggers.poll(schedule, t, &mut f64_state) {
-                trace.push_mark(t, fired);
-                trace.push(t, &f64_state);
-                sync_back(&mut n, &f64_state)?;
+        self.t = t_next;
+        self.stats.final_time = t_next;
+        let pick: f64 = self.rng.random::<f64>() * a0;
+        let chosen = self.row.select(pick);
+        self.compiled.fire(chosen, &mut self.n);
+        if self.f_stale {
+            for (f, &c) in self.f.iter_mut().zip(&self.n) {
+                *f = c as f64;
+            }
+            self.f_stale = false;
+        } else {
+            for &(i, _) in self.compiled.changed_species(chosen) {
+                self.f[i] = self.n[i] as f64;
             }
         }
+        self.row.refresh(self.compiled, &self.n, deps.of(chosen));
+        if !self.schedule.triggers().is_empty() {
+            let mut synced = false;
+            for fired in self.triggers.poll(self.schedule, t_next, &mut self.f) {
+                self.trace.push_mark(t_next, fired);
+                self.trace.push(t_next, &self.f);
+                sync_back(&mut self.n, &self.f)?;
+                synced = true;
+            }
+            if synced {
+                self.f_stale = true;
+                self.row.recompute(self.compiled, &self.n);
+            }
+        }
+        Ok(false)
     }
-
-    trace.push(t, &f64_state);
-    Ok(trace)
 }
 
-/// Selects the reaction to fire from a prefix-sum scan of the propensities.
-///
-/// `pick` is uniform in `[0, a0)` where `a0` is the (positive) propensity
-/// total, so the scan normally terminates at the first `j` with
-/// `pick < Σ_{k≤j} a_k` — necessarily a reaction with positive propensity.
-/// Floating-point round-off can, however, leave `pick >= acc` even after
-/// the last reaction (the re-summed `acc` may land just below `a0`). The
-/// fallback for that case must be the last reaction with *positive*
-/// propensity: defaulting to the last reaction unconditionally (the old
-/// behavior) could fire a zero-propensity reaction whose reactants are
-/// exhausted and drive copy numbers negative.
+/// Selects the reaction to fire from a prefix-sum scan of the
+/// propensities, for engines that hold no [`PropensityRow`]. Same rule as
+/// [`PropensityRow::select`]: the first `j` with `pick < Σ_{k≤j} a_k`,
+/// else the last reaction with positive propensity.
 pub(crate) fn select_reaction(
     count: usize,
     mut propensity: impl FnMut(usize) -> f64,
@@ -387,6 +669,7 @@ pub(crate) fn record_until(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{Condition, Trigger};
     use crate::SimSpec;
     use molseq_crn::{Crn, RateAssignment};
 
@@ -572,6 +855,114 @@ mod tests {
         assert_eq!(select_reaction(3, |j| props[j], 0.5), 0);
         assert_eq!(select_reaction(3, |j| props[j], 1.5), 1);
         assert_eq!(select_reaction(3, |j| props[j], 5.9), 2);
+    }
+
+    fn row_of(props: &[f64]) -> PropensityRow {
+        let mut row = PropensityRow {
+            props: props.to_vec(),
+            prefix: vec![0.0; props.len()],
+        };
+        row.resum_from(0);
+        row
+    }
+
+    #[test]
+    fn prefix_selection_never_falls_back_to_a_zero_propensity_reaction() {
+        // the same cases as the scan selector above: a round-off pick at
+        // (or beyond) the total must fall back to the last reaction with
+        // positive propensity, never to a trailing zero-propensity one
+        let row = row_of(&[2.0, 0.0]);
+        assert_eq!(row.select(2.0), 0);
+        assert_eq!(row.select(f64::INFINITY), 0);
+        assert_eq!(row.select(f64::NAN), 0);
+        let row = row_of(&[0.0, 1.5, 0.0]);
+        assert_eq!(row.select(1.5), 1);
+        // zero-propensity reactions are never the first prefix above a pick
+        assert_eq!(row.select(0.0), 1);
+        let row = row_of(&[1.0, 2.0, 3.0]);
+        assert_eq!(row.select(0.5), 0);
+        assert_eq!(row.select(1.5), 1);
+        assert_eq!(row.select(5.9), 2);
+        // and the binary search agrees with the linear scan everywhere
+        let props = [0.0, 0.25, 0.0, 0.0, 1.0, 3.5, 0.0, 1e-300, 2.0, 0.0];
+        let row = row_of(&props);
+        for step in 0..=200 {
+            let pick = row.total() * f64::from(step) / 190.0;
+            assert_eq!(
+                row.select(pick),
+                select_reaction(props.len(), |j| props[j], pick),
+                "pick {pick}"
+            );
+        }
+    }
+
+    /// A fresh full evaluation of `run`'s row must equal its cached,
+    /// incrementally maintained one bit for bit, and the `f64` mirror must
+    /// track the counts unless a trigger has just written to it.
+    fn assert_row_is_current(run: &SsaRun) {
+        let mut fresh = PropensityRow::default();
+        fresh.recompute(run.compiled, &run.n);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.row.props), bits(&fresh.props), "propensities");
+        assert_eq!(bits(&run.row.prefix), bits(&fresh.prefix), "prefix sums");
+        if !run.f_stale {
+            let mirror: Vec<f64> = run.n.iter().map(|&c| c as f64).collect();
+            assert_eq!(bits(&run.f), bits(&mirror), "f64 mirror");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 32,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// After any interleaving of firings, timed injections and
+        /// trigger injections, the incremental row and prefix equal a
+        /// full recompute bit for bit.
+        #[test]
+        fn incremental_row_matches_a_full_recompute(
+            seed in 0u64..10_000,
+            x0 in 0u32..40,
+            injections in proptest::collection::vec((1u32..40, 0usize..5, 0u32..25), 0..5),
+            threshold in 1u32..30,
+        ) {
+            let crn: Crn = "X -> Y @slow\nY -> X @slow\n2X -> Z @fast\nZ -> X @slow\n\
+                            X + Y -> W @fast\nW + X -> W + Y @slow\n0 -> X @slow\n\
+                            Z -> 0 @slow\n3Y -> V @fast"
+                .parse()
+                .unwrap();
+            let compiled = CompiledCrn::new(&crn, &SimSpec::new(RateAssignment::from_ratio(30.0)));
+            let species: Vec<_> = ["X", "Y", "Z", "W", "V"]
+                .iter()
+                .map(|name| crn.find_species(name).unwrap())
+                .collect();
+            let mut init = State::new(&crn);
+            init.set(species[0], f64::from(x0));
+            // X decays below its threshold, the queue trigger refills it
+            // and re-arms, so trigger injections land between firings
+            let mut schedule = Schedule::new()
+                .trigger(Trigger::inject_queue(
+                    Condition::Below { species: species[0], threshold: f64::from(threshold) },
+                    species[0],
+                    vec![7.0, 3.0, 11.0, 2.0, 5.0, 9.0],
+                ))
+                .trigger(Trigger::mark(Condition::Above { species: species[1], threshold: 5.0 }));
+            for &(time, i, amount) in &injections {
+                schedule = schedule.inject(f64::from(time) / 10.0, species[i], f64::from(amount));
+            }
+            let opts = SsaOptions::default().with_t_end(4.0).with_seed(seed);
+            let mut run = SsaRun::new(&crn, &compiled, &init, &schedule, opts).unwrap();
+            let deps = DependencyGraph::new(&compiled);
+            assert_row_is_current(&run);
+            for _ in 0..5_000 {
+                let done = run.step(&deps).unwrap();
+                assert_row_is_current(&run);
+                if done {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,39 +1,43 @@
 //! Lock-step batched stochastic simulation: N structurally identical
-//! cells, one shared compiled network, structure-of-arrays propensities.
+//! cells, one shared compiled network.
 //!
 //! The stochastic workloads behind E10 (and the Markov-chain / pattern-
 //! recognition experiment families on the roadmap) simulate one network
 //! under many seeds or rate bindings: every cell shares the CRN structure,
 //! hence the reactant index lists the propensity evaluation walks.
-//! [`run_ssa_batch`] and [`run_tau_batch`] exploit that by advancing up to
-//! `width` lanes round-robin through one shared [`CompiledCrn`]: each
-//! round recomputes every live lane's propensities in a single
-//! species-major, lane-contiguous SoA kernel
-//! (`CompiledCrn::propensity_batch`, stride-1 over lanes, autovectorized —
-//! no intrinsics, plain `std`), then plays exactly one iteration of the
-//! scalar event loop per lane — one Gillespie event (or plateau segment)
-//! for SSA, one leap or exact step for tau-leaping. Tau lanes leap in
-//! lock-step; SSA lanes advance round-robin toward the shared horizon
-//! `t_end`.
+//! [`run_ssa_batch`] and [`run_tau_batch`] advance up to `width` lanes
+//! round-robin through one shared [`CompiledCrn`] structure, one
+//! iteration of the scalar event loop per lane per round — one Gillespie
+//! event (or plateau segment) for SSA, one leap or exact step for
+//! tau-leaping.
+//!
+//! SSA lanes step through the scalar engine's own event step
+//! (`SsaRun::step` in [`crate::ssa`]): each lane keeps its cached
+//! propensity row and prefix sums and, after a firing, re-evaluates only
+//! the fired reaction's dependents, over one dependency graph built per
+//! call. Tau lanes re-evaluate every propensity each step, so each round
+//! recomputes all live tau lanes' rows in a single species-major,
+//! lane-contiguous SoA kernel (`CompiledCrn::propensity_batch`, stride-1
+//! over lanes, autovectorized — no intrinsics, plain `std`).
 //!
 //! **Determinism contract.** Every lane reproduces the scalar
 //! [`run_ssa`](crate::ssa)/[`run_tau`](crate::tau) path *bit for bit*, at
 //! any batch width: lanes share index structure, never floating-point
 //! values and never RNG draws. Each lane keeps its own `StdRng` stream
 //! (seeded from its own options), its own event/leap counters and
-//! metrics, and consumes draws in exactly the scalar order — the SoA
-//! propensity row merely stands in for the scalar loop-top recompute,
-//! which is a pure function of the lane's state and so bitwise equal.
-//! Lanes that finish, fail, or get budget-cut *retire*: they flush their
-//! metrics (stamped with the batch width and a retirement ordinal) and
-//! stop contributing to the rounds, while surviving lanes continue
-//! unperturbed.
+//! metrics, and consumes draws in exactly the scalar order. SSA lanes run
+//! the scalar step itself; a tau lane's SoA propensity row stands in for
+//! the scalar per-step recompute, which is a pure function of the lane's
+//! state and so bitwise equal. Lanes that finish, fail, or get budget-cut
+//! *retire*: they flush their metrics (stamped with the batch width and a
+//! retirement ordinal) and stop contributing to the rounds, while
+//! surviving lanes continue unperturbed.
 
 use crate::compiled::CompiledCrn;
-use crate::events::{Injection, TriggerRuntime};
+use crate::events::Injection;
 use crate::metrics::SimMetrics;
-use crate::ssa::{record_until, select_reaction, sync_back, to_count};
-use crate::tau::{apply_injection, poisson, TauLeapOptions};
+use crate::ssa::{record_until, select_reaction, to_count, validate, DependencyGraph, SsaRun};
+use crate::tau::{apply_injection, poisson, validate_tau, TauColumns, TauLeapOptions};
 use crate::{Schedule, SimError, SsaOptions, State, Trace};
 use molseq_crn::Crn;
 use rand::rngs::StdRng;
@@ -72,12 +76,17 @@ pub struct TauBatchLane<'a, 'h> {
     pub options: TauLeapOptions<'h>,
 }
 
-/// Reusable storage for [`run_ssa_batch`]/[`run_tau_batch`]: the
-/// structure-of-arrays copy-number and propensity buffers, sized lazily
-/// per call and reused across calls (consecutive sweep batches over the
+/// Reusable storage for [`run_ssa_batch`]/[`run_tau_batch`]: the SSA
+/// dependency graph, the tau step-size columns and the tau lanes'
+/// structure-of-arrays copy-number and propensity buffers, rebuilt per
+/// call into retained allocations (consecutive sweep batches over the
 /// same network structure pay no re-allocation).
 #[derive(Default)]
 pub struct BatchedStochWorkspace {
+    /// Reaction dependency graph shared by every SSA lane of a call.
+    deps: DependencyGraph,
+    /// Per-species change columns shared by every tau lane of a call.
+    columns: TauColumns,
     /// SoA copy numbers, `species × width`, lane-contiguous.
     n_soa: Vec<i64>,
     /// SoA propensities, `reactions × width`, lane-contiguous.
@@ -95,9 +104,10 @@ impl BatchedStochWorkspace {
         BatchedStochWorkspace::default()
     }
 
-    fn prepare(&mut self, reference: &CompiledCrn, wd: usize) {
+    fn prepare_tau(&mut self, reference: &CompiledCrn, wd: usize) {
         let n = reference.species_count();
         let m = reference.reaction_count();
+        self.columns.rebuild(reference);
         self.n_soa.clear();
         self.n_soa.resize(n * wd, 0);
         self.props.clear();
@@ -107,185 +117,39 @@ impl BatchedStochWorkspace {
     }
 }
 
-/// Everything one stochastic lane owns: the scalar core's locals,
-/// per-lane.
-struct StochLane<'a, 'h> {
-    compiled: &'a CompiledCrn,
-    schedule: &'a Schedule,
-    base: SsaOptions<'h>,
-    epsilon: f64,
-    injections: Vec<Injection>,
-    next_injection: usize,
-    triggers: TriggerRuntime,
-    n: Vec<i64>,
-    f: Vec<f64>,
-    rng: StdRng,
-    trace: Trace,
-    stats: SimMetrics,
-    t: f64,
-    next_record: f64,
-    /// SSA events fired (direct method) or loop steps taken (tau) — the
-    /// counter the scalar cores budget against `max_events`.
-    events: usize,
-    /// An initial-state conversion error: in the scalar cores this is a
-    /// *core* error (metrics flush), unlike validation errors (no flush).
-    pending: Option<SimError>,
-    /// `Some(Ok(()))` once the trace is complete, `Some(Err)` on failure.
-    done: Option<Result<(), SimError>>,
-}
-
-impl<'a, 'h> StochLane<'a, 'h> {
-    fn new(
-        crn: &Crn,
-        compiled: &'a CompiledCrn,
-        init: &State,
-        schedule: &'a Schedule,
-        base: SsaOptions<'h>,
-        epsilon: f64,
-        validation: Option<SimError>,
-    ) -> Self {
-        let done = validation.map(Err);
-        let mut pending = None;
-        let mut n: Vec<i64> = Vec::with_capacity(init.len());
-        if done.is_none() {
-            for &v in init.as_slice() {
-                match to_count(v) {
-                    Ok(c) => n.push(c),
-                    Err(e) => {
-                        pending = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        let live = done.is_none() && pending.is_none();
-        let f: Vec<f64> = if live {
-            n.iter().map(|&v| v as f64).collect()
-        } else {
-            vec![0.0; crn.species_count()]
-        };
-        let mut trace = Trace::new(crn);
-        if live {
-            trace.push(base.t_start(), &f);
-        }
-        // dead lanes get a runtime over a zero state: never polled, but
-        // keeps construction total even when `init` has the wrong length
-        let triggers = TriggerRuntime::new(schedule, &f);
-        StochLane {
-            compiled,
-            schedule,
-            base,
-            epsilon,
-            injections: schedule.sorted_injections(),
-            next_injection: 0,
-            triggers,
-            n,
-            f,
-            rng: StdRng::seed_from_u64(base.seed()),
-            trace,
-            stats: SimMetrics {
-                seed: base.seed(),
-                final_time: base.t_start(),
-                ..SimMetrics::default()
-            },
-            t: base.t_start(),
-            next_record: base.t_start() + base.record_interval(),
-            events: 0,
-            pending,
-            done,
-        }
-    }
-}
-
-/// Finishes a lane: flushes its metrics (every core exit path reports its
-/// cost, as in the scalar drivers), stamped with the batch width and the
-/// retirement ordinal, and marks it done so the rounds skip it.
-fn retire(st: &mut StochLane, outcome: Result<(), SimError>, wd: usize, retired: &mut u64) {
-    st.stats.final_time = st.t;
-    st.stats.batch_width = wd as u64;
-    st.stats.lanes_retired = *retired;
-    *retired += 1;
-    SimMetrics::flush(st.base.metrics(), st.stats);
-    st.done = Some(outcome);
-}
-
-/// The shared driver prologue: retire initial-state conversion failures
-/// (with a metrics flush, like the scalar cores), pick the reference
-/// network, assert structure sharing, and pack the per-lane rates.
-/// Returns `false` when no lane survived.
-fn setup(
-    states: &mut [StochLane],
-    workspace: &mut BatchedStochWorkspace,
-    wd: usize,
-    retired: &mut u64,
+/// Panics unless every live lane's network shares `networks`' first
+/// one's structure, which it returns (`None` when no lane is live).
+fn shared_structure<'a>(
+    mut networks: impl Iterator<Item = &'a CompiledCrn>,
     entry: &str,
-) -> bool {
-    for st in states.iter_mut() {
-        if let Some(e) = st.pending.take() {
-            retire(st, Err(e), wd, retired);
-        }
-    }
-    let Some(reference) = states.iter().find(|s| s.done.is_none()).map(|s| s.compiled) else {
-        return false;
-    };
-    for st in states.iter().filter(|s| s.done.is_none()) {
+) -> Option<&'a CompiledCrn> {
+    let reference = networks.next()?;
+    for compiled in networks {
         assert!(
-            st.compiled.structural_hash() == reference.structural_hash(),
+            compiled.structural_hash() == reference.structural_hash(),
             "{entry} lanes must share one network structure"
         );
     }
-    workspace.prepare(reference, wd);
-    let lane_refs: Vec<&CompiledCrn> = states
-        .iter()
-        .map(|s| {
-            if s.done.is_none() {
-                s.compiled
-            } else {
-                reference
-            }
-        })
-        .collect();
-    reference.gather_rates(&lane_refs, &mut workspace.ks);
-    true
+    Some(reference)
 }
 
-/// Recomputes every live lane's propensities in one SoA pass: gathers the
-/// copy numbers lane-contiguously (retired lanes contribute zeros) and
-/// runs the vectorized kernel over the full width.
-fn recompute_round(
-    reference: &CompiledCrn,
-    states: &[StochLane],
-    workspace: &mut BatchedStochWorkspace,
-    wd: usize,
-) {
-    workspace.n_soa.fill(0);
-    for (l, st) in states.iter().enumerate() {
-        if st.done.is_none() {
-            for (i, &c) in st.n.iter().enumerate() {
-                workspace.n_soa[i * wd + l] = c;
-            }
-        }
-    }
-    reference.propensity_batch(&workspace.ks, &workspace.n_soa, &mut workspace.props, wd);
-}
-
-/// Unpacks the final per-lane results in input order.
-fn finish(states: Vec<StochLane>) -> Vec<Result<Trace, SimError>> {
-    states
-        .into_iter()
-        .map(|s| match s.done.expect("every lane settled") {
-            Ok(()) => Ok(s.trace),
-            Err(e) => Err(e),
-        })
-        .collect()
+/// Stamps a retiring lane's metrics with the batch width and its
+/// retirement ordinal and flushes them: every core exit path reports its
+/// cost, as in the scalar drivers.
+fn flush_retired(opts: &SsaOptions, mut stats: SimMetrics, wd: usize, retired: &mut u64) {
+    stats.batch_width = wd as u64;
+    stats.lanes_retired = *retired;
+    *retired += 1;
+    SimMetrics::flush(opts.metrics(), stats);
 }
 
 /// Simulates up to `lanes.len()` structurally identical cells with the
 /// Gillespie direct method, advancing the lanes round-robin (one event
-/// per lane per round) with shared SoA propensity recomputation, and
-/// returns one result per lane in input order. See the module docs for
-/// the determinism contract; each lane's trace, metrics and error
-/// behavior are bit-identical to running it alone through
+/// per lane per round), and returns one result per lane in input order.
+/// Each lane runs the scalar engine's incremental event step over its own
+/// cached propensity row; the lanes share one dependency graph. See the
+/// module docs for the determinism contract; each lane's trace, metrics
+/// and error behavior are bit-identical to running it alone through
 /// [`Simulation`](crate::Simulation) with
 /// [`SimMethod::Ssa`](crate::SimMethod::Ssa).
 ///
@@ -299,159 +163,130 @@ pub fn run_ssa_batch<'h>(
     workspace: &mut BatchedStochWorkspace,
 ) -> Vec<Result<Trace, SimError>> {
     let wd = lanes.len();
-    if wd == 0 {
-        return Vec::new();
-    }
-    let mut states: Vec<StochLane> = lanes
-        .iter()
-        .map(|lane| {
-            // validation mirrors run_ssa's, per lane
-            let opts = &lane.options;
-            let validation = if lane.compiled.species_count() != crn.species_count() {
-                Some(SimError::DimensionMismatch {
-                    supplied: lane.compiled.species_count(),
-                    expected: crn.species_count(),
-                })
-            } else if lane.init.len() != crn.species_count() {
-                Some(SimError::DimensionMismatch {
-                    supplied: lane.init.len(),
-                    expected: crn.species_count(),
-                })
-            } else if !opts.t_start().is_finite()
-                || !opts.t_end().is_finite()
-                || opts.t_end() <= opts.t_start()
-            {
-                Some(SimError::BadTimeSpan {
-                    t_start: opts.t_start(),
-                    t_end: opts.t_end(),
-                })
-            } else {
-                None
-            };
-            StochLane::new(
-                crn,
-                lane.compiled,
-                lane.init,
-                lane.schedule,
-                lane.options,
-                0.0,
-                validation,
-            )
-        })
-        .collect();
     let mut retired: u64 = 0;
-    if !setup(&mut states, workspace, wd, &mut retired, "run_ssa_batch") {
-        return finish(states);
-    }
-    let reference = states
-        .iter()
-        .find(|s| s.done.is_none())
-        .map(|s| s.compiled)
-        .expect("setup found a live lane");
-    while states.iter().any(|s| s.done.is_none()) {
-        recompute_round(reference, &states, workspace, wd);
-        for (l, st) in states.iter_mut().enumerate().take(wd) {
-            if st.done.is_some() {
-                continue;
+    let mut results: Vec<Option<Result<Trace, SimError>>> = Vec::with_capacity(wd);
+    let mut runs: Vec<Option<SsaRun>> = Vec::with_capacity(wd);
+    for lane in lanes {
+        // validation mirrors run_ssa's, per lane: no metrics flush
+        let started = validate(crn, lane.compiled, lane.init, &lane.options).and_then(|()| {
+            SsaRun::new(crn, lane.compiled, lane.init, lane.schedule, lane.options).inspect_err(
+                |_| {
+                    // an initial-state conversion failure is a core error
+                    let stats = SsaRun::initial_stats(&lane.options);
+                    flush_retired(&lane.options, stats, wd, &mut retired);
+                },
+            )
+        });
+        match started {
+            Ok(run) => {
+                runs.push(Some(run));
+                results.push(None);
             }
-            for (j, p) in workspace.lane_props.iter_mut().enumerate() {
-                *p = workspace.props[j * wd + l];
+            Err(e) => {
+                runs.push(None);
+                results.push(Some(Err(e)));
             }
-            ssa_lane_round(st, &workspace.lane_props, wd, &mut retired);
         }
     }
-    finish(states)
+    let live = runs.iter().flatten().map(SsaRun::compiled);
+    if let Some(reference) = shared_structure(live, "run_ssa_batch") {
+        workspace.deps.rebuild(reference);
+    }
+    while runs.iter().any(Option::is_some) {
+        for (slot, result) in runs.iter_mut().zip(&mut results) {
+            let Some(run) = slot else { continue };
+            let outcome = match run.step(&workspace.deps) {
+                Ok(false) => continue,
+                Ok(true) => Ok(()),
+                Err(e) => Err(e),
+            };
+            let run = slot.take().expect("live lane");
+            let opts = *run.options();
+            let (trace, stats) = run.finish();
+            flush_retired(&opts, stats, wd, &mut retired);
+            *result = Some(outcome.map(|()| trace));
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every lane settled"))
+        .collect()
 }
 
-/// One iteration of the scalar `ssa_core` loop for one lane: the round's
-/// SoA-computed propensity row stands in for the loop-top recompute
-/// (bitwise equal — propensities are pure in the lane's state, which is
-/// unchanged since the round gathered it).
-fn ssa_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &mut u64) {
-    let injection_time = st
-        .injections
-        .get(st.next_injection)
-        .map_or(f64::INFINITY, |inj| inj.time);
+/// Everything one tau-leaping lane owns: the scalar core's locals,
+/// per-lane.
+struct StochLane<'a, 'h> {
+    compiled: &'a CompiledCrn,
+    base: SsaOptions<'h>,
+    epsilon: f64,
+    injections: Vec<Injection>,
+    next_injection: usize,
+    n: Vec<i64>,
+    f: Vec<f64>,
+    rng: StdRng,
+    trace: Trace,
+    stats: SimMetrics,
+    t: f64,
+    next_record: f64,
+    /// Loop steps taken — the counter the scalar core budgets against
+    /// `max_events`.
+    events: usize,
+}
 
-    // Total propensity and waiting time.
-    let mut a0 = 0.0;
-    for &p in lane_props {
-        a0 += p;
-    }
-    let t_next = if a0 > 0.0 {
-        let u: f64 = 1.0 - st.rng.random::<f64>();
-        st.t - u.ln() / a0
-    } else {
-        f64::INFINITY
-    };
-
-    // Which comes first: reaction, injection, or end of span?
-    let stop = st.base.t_end().min(injection_time);
-    if t_next >= stop {
-        record_until(&mut st.trace, &st.f, &mut st.next_record, stop, &st.base);
-        st.t = stop;
-        st.stats.final_time = st.t;
-        if injection_time <= st.base.t_end() {
-            let inj = &st.injections[st.next_injection];
-            match to_count(inj.amount) {
-                Ok(c) => st.n[inj.species.index()] += c,
-                Err(e) => return retire(st, Err(e), wd, retired),
-            }
-            st.f[inj.species.index()] = st.n[inj.species.index()] as f64;
-            st.trace.push(st.t, &st.f);
-            st.next_injection += 1;
-            for fired in st.triggers.poll(st.schedule, st.t, &mut st.f) {
-                st.trace.push_mark(st.t, fired);
-                if let Err(e) = sync_back(&mut st.n, &st.f) {
-                    return retire(st, Err(e), wd, retired);
-                }
-            }
-            return; // scalar `continue`: next round recomputes
+impl<'a, 'h> StochLane<'a, 'h> {
+    /// A lane ready to step, or the lane's core error on an initial
+    /// state that is not whole copy numbers.
+    fn new(
+        crn: &Crn,
+        compiled: &'a CompiledCrn,
+        init: &State,
+        schedule: &Schedule,
+        options: &TauLeapOptions<'h>,
+    ) -> Result<Self, SimError> {
+        let base = options.base;
+        let mut n = Vec::with_capacity(init.len());
+        for &v in init.as_slice() {
+            n.push(to_count(v)?);
         }
-        // span complete: push the final sample, succeed
-        st.trace.push(st.t, &st.f);
-        return retire(st, Ok(()), wd, retired);
+        let f: Vec<f64> = n.iter().map(|&v| v as f64).collect();
+        let mut trace = Trace::new(crn);
+        trace.push(base.t_start(), &f);
+        Ok(StochLane {
+            compiled,
+            base,
+            epsilon: options.epsilon,
+            injections: schedule.sorted_injections(),
+            next_injection: 0,
+            n,
+            f,
+            rng: StdRng::seed_from_u64(base.seed()),
+            trace,
+            stats: SsaRun::initial_stats(&base),
+            t: base.t_start(),
+            next_record: base.t_start() + base.record_interval(),
+            events: 0,
+        })
     }
+}
 
-    // Fire one reaction.
-    if st.events >= st.base.max_events() {
-        let err = SimError::StepLimitExceeded {
-            reached: st.t,
-            t_end: st.base.t_end(),
-            max_steps: st.base.max_events(),
-        };
-        return retire(st, Err(err), wd, retired);
-    }
-    st.events += 1;
-    st.stats.ssa_events = st.events as u64;
-    if let Some(hook) = st.base.step_hook() {
-        if let ControlFlow::Break(reason) = hook(st.events as u64, st.t) {
-            return retire(
-                st,
-                Err(SimError::Interrupted { time: st.t, reason }),
-                wd,
-                retired,
-            );
-        }
-    }
-    record_until(&mut st.trace, &st.f, &mut st.next_record, t_next, &st.base);
-    st.t = t_next;
-    st.stats.final_time = st.t;
-    let pick: f64 = st.rng.random::<f64>() * a0;
-    let chosen = select_reaction(lane_props.len(), |j| lane_props[j], pick);
-    st.compiled.fire(chosen, &mut st.n);
-    for (fv, &c) in st.f.iter_mut().zip(&st.n) {
-        *fv = c as f64;
-    }
-    if !st.schedule.triggers().is_empty() {
-        for fired in st.triggers.poll(st.schedule, st.t, &mut st.f) {
-            st.trace.push_mark(st.t, fired);
-            st.trace.push(st.t, &st.f);
-            if let Err(e) = sync_back(&mut st.n, &st.f) {
-                return retire(st, Err(e), wd, retired);
+/// Recomputes every live tau lane's propensities in one SoA pass: gathers
+/// the copy numbers lane-contiguously (retired lanes contribute zeros)
+/// and runs the vectorized kernel over the full width.
+fn recompute_round(
+    reference: &CompiledCrn,
+    states: &[Option<StochLane>],
+    workspace: &mut BatchedStochWorkspace,
+    wd: usize,
+) {
+    workspace.n_soa.fill(0);
+    for (l, st) in states.iter().enumerate() {
+        if let Some(st) = st {
+            for (i, &c) in st.n.iter().enumerate() {
+                workspace.n_soa[i * wd + l] = c;
             }
         }
     }
+    reference.propensity_batch(&workspace.ks, &workspace.n_soa, &mut workspace.props, wd);
 }
 
 /// Simulates up to `lanes.len()` structurally identical cells with
@@ -473,76 +308,69 @@ pub fn run_tau_batch<'h>(
     lanes: &[TauBatchLane<'_, 'h>],
     workspace: &mut BatchedStochWorkspace,
 ) -> Vec<Result<Trace, SimError>> {
-    let wd = lanes.len();
-    if wd == 0 {
-        return Vec::new();
-    }
     for lane in lanes {
         assert!(
             lane.schedule.triggers().is_empty(),
             "tau-leaping does not support triggers"
         );
     }
-    let mut states: Vec<StochLane> = lanes
-        .iter()
-        .map(|lane| {
-            // validation mirrors run_tau's, per lane
-            let base = &lane.options.base;
-            let validation = if lane.compiled.species_count() != crn.species_count() {
-                Some(SimError::DimensionMismatch {
-                    supplied: lane.compiled.species_count(),
-                    expected: crn.species_count(),
-                })
-            } else if lane.init.len() != crn.species_count() {
-                Some(SimError::DimensionMismatch {
-                    supplied: lane.init.len(),
-                    expected: crn.species_count(),
-                })
-            } else if !base.t_start().is_finite()
-                || !base.t_end().is_finite()
-                || base.t_end() <= base.t_start()
-                || lane.options.epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-            {
-                Some(SimError::BadTimeSpan {
-                    t_start: base.t_start(),
-                    t_end: base.t_end(),
-                })
-            } else {
-                None
-            };
-            StochLane::new(
-                crn,
-                lane.compiled,
-                lane.init,
-                lane.schedule,
-                lane.options.base,
-                lane.options.epsilon,
-                validation,
-            )
-        })
-        .collect();
+    let wd = lanes.len();
     let mut retired: u64 = 0;
-    if !setup(&mut states, workspace, wd, &mut retired, "run_tau_batch") {
-        return finish(states);
-    }
-    let reference = states
-        .iter()
-        .find(|s| s.done.is_none())
-        .map(|s| s.compiled)
-        .expect("setup found a live lane");
-    while states.iter().any(|s| s.done.is_none()) {
-        recompute_round(reference, &states, workspace, wd);
-        for (l, st) in states.iter_mut().enumerate().take(wd) {
-            if st.done.is_some() {
-                continue;
+    let mut results: Vec<Option<Result<Trace, SimError>>> = Vec::with_capacity(wd);
+    let mut states: Vec<Option<StochLane>> = Vec::with_capacity(wd);
+    for lane in lanes {
+        // validation mirrors run_tau's, per lane: no metrics flush
+        let started = validate_tau(crn, lane.compiled, lane.init, &lane.options).and_then(|()| {
+            StochLane::new(crn, lane.compiled, lane.init, lane.schedule, &lane.options).inspect_err(
+                |_| {
+                    // an initial-state conversion failure is a core error
+                    let base = &lane.options.base;
+                    flush_retired(base, SsaRun::initial_stats(base), wd, &mut retired);
+                },
+            )
+        });
+        match started {
+            Ok(st) => {
+                states.push(Some(st));
+                results.push(None);
             }
+            Err(e) => {
+                states.push(None);
+                results.push(Some(Err(e)));
+            }
+        }
+    }
+    let live = states.iter().flatten().map(|st| st.compiled);
+    let Some(reference) = shared_structure(live, "run_tau_batch") else {
+        return results.into_iter().flatten().collect();
+    };
+    workspace.prepare_tau(reference, wd);
+    let lane_refs: Vec<&CompiledCrn> = states
+        .iter()
+        .map(|st| st.as_ref().map_or(reference, |st| st.compiled))
+        .collect();
+    reference.gather_rates(&lane_refs, &mut workspace.ks);
+    while states.iter().any(Option::is_some) {
+        recompute_round(reference, &states, workspace, wd);
+        for (l, (slot, result)) in states.iter_mut().zip(&mut results).enumerate() {
+            let Some(st) = slot else { continue };
             for (j, p) in workspace.lane_props.iter_mut().enumerate() {
                 *p = workspace.props[j * wd + l];
             }
-            tau_lane_round(st, &workspace.lane_props, wd, &mut retired);
+            let Some(outcome) = tau_lane_round(st, &workspace.lane_props, &workspace.columns)
+            else {
+                continue;
+            };
+            let mut st = slot.take().expect("live lane");
+            st.stats.final_time = st.t;
+            flush_retired(&st.base, st.stats, wd, &mut retired);
+            *result = Some(outcome.map(|()| st.trace));
         }
     }
-    finish(states)
+    results
+        .into_iter()
+        .map(|r| r.expect("every lane settled"))
+        .collect()
 }
 
 /// One iteration of the scalar `tau_core` loop for one lane: the round's
@@ -551,12 +379,16 @@ pub fn run_tau_batch<'h>(
 /// recomputing; computing the pure, draw-free propensities early is
 /// unobservable).
 #[allow(clippy::too_many_lines)]
-fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &mut u64) {
+fn tau_lane_round(
+    st: &mut StochLane,
+    lane_props: &[f64],
+    columns: &TauColumns,
+) -> Option<Result<(), SimError>> {
     let m = lane_props.len();
     // loop condition: `while t < t_end`
     if st.t >= st.base.t_end() {
         st.trace.push(st.t, &st.f);
-        return retire(st, Ok(()), wd, retired);
+        return Some(Ok(()));
     }
     if st.events >= st.base.max_events() {
         let err = SimError::StepLimitExceeded {
@@ -564,17 +396,12 @@ fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &m
             t_end: st.base.t_end(),
             max_steps: st.base.max_events(),
         };
-        return retire(st, Err(err), wd, retired);
+        return Some(Err(err));
     }
     st.events += 1;
     if let Some(hook) = st.base.step_hook() {
         if let ControlFlow::Break(reason) = hook(st.events as u64, st.t) {
-            return retire(
-                st,
-                Err(SimError::Interrupted { time: st.t, reason }),
-                wd,
-                retired,
-            );
+            return Some(Err(SimError::Interrupted { time: st.t, reason }));
         }
     }
 
@@ -601,45 +428,16 @@ fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &m
                 st.t,
             );
             if let Err(e) = outcome {
-                return retire(st, Err(e), wd, retired);
+                return Some(Err(e));
             }
             st.next_injection += 1;
-            return; // scalar `continue`
+            return None; // scalar `continue`
         }
         st.trace.push(st.t, &st.f);
-        return retire(st, Ok(()), wd, retired);
+        return Some(Ok(()));
     }
 
-    // Cao–Gillespie step selection: bound the relative change of each
-    // species that any reaction consumes.
-    let mut tau = f64::INFINITY;
-    for j in 0..m {
-        if lane_props[j] == 0.0 {
-            continue;
-        }
-        for &(i, _) in st.compiled.changed_species(j) {
-            // net drift and noise of species i
-            let mut mu = 0.0;
-            let mut sigma2 = 0.0;
-            for (jj, &p) in lane_props.iter().enumerate() {
-                let v = st
-                    .compiled
-                    .changed_species(jj)
-                    .iter()
-                    .find(|&&(ii, _)| ii == i)
-                    .map_or(0, |&(_, d)| d) as f64;
-                mu += v * p;
-                sigma2 += v * v * p;
-            }
-            let bound = (st.epsilon * st.n[i].max(1) as f64).max(1.0);
-            if mu != 0.0 {
-                tau = tau.min(bound / mu.abs());
-            }
-            if sigma2 > 0.0 {
-                tau = tau.min(bound * bound / sigma2);
-            }
-        }
-    }
+    let tau = columns.bound(lane_props, &st.n, st.epsilon, |_| true);
 
     // If the leap is not worth it, take one exact step.
     if tau < 10.0 / a0 {
@@ -660,13 +458,13 @@ fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &m
                     st.t,
                 );
                 if let Err(e) = outcome {
-                    return retire(st, Err(e), wd, retired);
+                    return Some(Err(e));
                 }
                 st.next_injection += 1;
-                return; // scalar `continue`
+                return None; // scalar `continue`
             }
             st.trace.push(st.t, &st.f);
-            return retire(st, Ok(()), wd, retired);
+            return Some(Ok(()));
         }
         record_until(&mut st.trace, &st.f, &mut st.next_record, t_next, &st.base);
         st.t = t_next;
@@ -678,7 +476,7 @@ fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &m
         for &(i, _) in st.compiled.changed_species(chosen) {
             st.f[i] = st.n[i] as f64;
         }
-        return; // scalar `continue`
+        return None; // scalar `continue`
     }
 
     // Leap (clipped at the next hard stop).
@@ -710,10 +508,11 @@ fn tau_lane_round(st: &mut StochLane, lane_props: &[f64], wd: usize, retired: &m
             st.t,
         );
         if let Err(e) = outcome {
-            return retire(st, Err(e), wd, retired);
+            return Some(Err(e));
         }
         st.next_injection += 1;
     }
+    None
 }
 
 #[cfg(test)]

@@ -134,28 +134,7 @@ pub(crate) fn run_tau(
         "tau-leaping does not support triggers"
     );
     let base = &opts.base;
-    if compiled.species_count() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: compiled.species_count(),
-            expected: crn.species_count(),
-        });
-    }
-    if init.len() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: init.len(),
-            expected: crn.species_count(),
-        });
-    }
-    if !base.t_start().is_finite()
-        || !base.t_end().is_finite()
-        || base.t_end() <= base.t_start()
-        || opts.epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-    {
-        return Err(SimError::BadTimeSpan {
-            t_start: base.t_start(),
-            t_end: base.t_end(),
-        });
-    }
+    validate_tau(crn, compiled, init, opts)?;
 
     let mut stats = SimMetrics {
         seed: base.seed(),
@@ -194,6 +173,7 @@ fn tau_core(
     let mut next_record = base.t_start() + base.record_interval();
     let mut steps = 0usize;
     let mut propensities = vec![0.0; m];
+    let columns = TauColumns::new(compiled);
 
     while t < base.t_end() {
         if steps >= base.max_events() {
@@ -241,35 +221,7 @@ fn tau_core(
             break;
         }
 
-        // Cao–Gillespie step selection: bound the relative change of each
-        // species that any reaction consumes.
-        let mut tau = f64::INFINITY;
-        for j in 0..m {
-            if propensities[j] == 0.0 {
-                continue;
-            }
-            for &(i, _) in compiled.changed_species(j) {
-                // net drift and noise of species i
-                let mut mu = 0.0;
-                let mut sigma2 = 0.0;
-                for (jj, &p) in propensities.iter().enumerate() {
-                    let v = compiled
-                        .changed_species(jj)
-                        .iter()
-                        .find(|&&(ii, _)| ii == i)
-                        .map_or(0, |&(_, d)| d) as f64;
-                    mu += v * p;
-                    sigma2 += v * v * p;
-                }
-                let bound = (opts.epsilon * n[i].max(1) as f64).max(1.0);
-                if mu != 0.0 {
-                    tau = tau.min(bound / mu.abs());
-                }
-                if sigma2 > 0.0 {
-                    tau = tau.min(bound * bound / sigma2);
-                }
-            }
-        }
+        let tau = columns.bound(&propensities, &n, opts.epsilon, |_| true);
 
         // If the leap is not worth it, take a handful of exact steps.
         if tau < 10.0 / a0 {
@@ -353,6 +305,111 @@ fn tau_core(
 
     trace.push(t, &f64_state);
     Ok(trace)
+}
+
+/// [`run_tau`]'s checks: [`crate::ssa::validate`]'s, plus a positive
+/// `epsilon` (a bad one is reported as a bad time span).
+pub(crate) fn validate_tau(
+    crn: &Crn,
+    compiled: &CompiledCrn,
+    init: &State,
+    opts: &TauLeapOptions,
+) -> Result<(), SimError> {
+    let base = &opts.base;
+    crate::ssa::validate(crn, compiled, init, base)?;
+    if opts.epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        return Err(SimError::BadTimeSpan {
+            t_start: base.t_start(),
+            t_end: base.t_end(),
+        });
+    }
+    Ok(())
+}
+
+/// The stoichiometry by species: column `i` lists `(reaction, net
+/// change)` for every reaction that changes species `i`, in ascending
+/// reaction order — what the Cao–Gillespie step bound sums over. Built
+/// per run (or per batch call) from [`CompiledCrn::changed_species`].
+#[derive(Default)]
+pub(crate) struct TauColumns {
+    /// `entries[start[i]..start[i + 1]]` is species `i`'s column.
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl TauColumns {
+    pub(crate) fn new(compiled: &CompiledCrn) -> Self {
+        let mut columns = TauColumns::default();
+        columns.rebuild(compiled);
+        columns
+    }
+
+    /// Rebuilds the columns for `compiled`, reusing the buffers.
+    pub(crate) fn rebuild(&mut self, compiled: &CompiledCrn) {
+        let n = compiled.species_count();
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for j in 0..compiled.reaction_count() {
+            for &(i, _) in compiled.changed_species(j) {
+                self.start[i + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.start[i + 1] += self.start[i];
+        }
+        self.entries.clear();
+        self.entries.resize(self.start[n], (0, 0.0));
+        let mut fill = self.start[..n].to_vec();
+        for j in 0..compiled.reaction_count() {
+            for &(i, d) in compiled.changed_species(j) {
+                self.entries[fill[i]] = (j, d as f64);
+                fill[i] += 1;
+            }
+        }
+    }
+
+    /// The Cao–Gillespie leap bound: the largest `τ` that keeps every
+    /// species within a relative change of `epsilon` (at least one
+    /// molecule), in both its drift `μ_i` and its standard deviation
+    /// `√(σ²_i)`, summed over the reactions with `include(j)`. Returns
+    /// `∞` when nothing constrains the step.
+    ///
+    /// One pass over the stoichiometry's nonzeros. Summing each column in
+    /// reaction order adds the same nonzero terms in the same order as a
+    /// dense sum over all reactions; the skipped `0·p` terms could only
+    /// change the sign of a zero `μ`, and `μ` is only tested against zero
+    /// and used through `|μ|`. A species no reaction with nonzero
+    /// propensity changes has `μ = σ² = 0` and so bounds nothing, which is
+    /// why no "is it firing" test is needed.
+    pub(crate) fn bound(
+        &self,
+        propensities: &[f64],
+        n: &[i64],
+        epsilon: f64,
+        include: impl Fn(usize) -> bool,
+    ) -> f64 {
+        let mut tau = f64::INFINITY;
+        for (i, &ni) in n.iter().enumerate() {
+            let column = &self.entries[self.start[i]..self.start[i + 1]];
+            let mut mu = 0.0;
+            let mut sigma2 = 0.0;
+            for &(j, v) in column {
+                if include(j) {
+                    let p = propensities[j];
+                    mu += v * p;
+                    sigma2 += v * v * p;
+                }
+            }
+            let bound = (epsilon * ni.max(1) as f64).max(1.0);
+            if mu != 0.0 {
+                tau = tau.min(bound / mu.abs());
+            }
+            if sigma2 > 0.0 {
+                tau = tau.min(bound * bound / sigma2);
+            }
+        }
+        tau
+    }
 }
 
 pub(crate) fn apply_injection(
@@ -551,6 +608,77 @@ mod tests {
         assert!(m.tau_leaps > 0, "{m:?}");
         assert_eq!(m.final_time, 1.0);
         assert_eq!(m.seed, 2);
+    }
+
+    /// The dense O(m²·d²) step bound the sparse columns replaced, kept as
+    /// the reference they must match bit for bit.
+    fn dense_bound(
+        compiled: &CompiledCrn,
+        propensities: &[f64],
+        n: &[i64],
+        epsilon: f64,
+        include: impl Fn(usize) -> bool,
+    ) -> f64 {
+        let mut tau = f64::INFINITY;
+        for (j, &pj) in propensities.iter().enumerate() {
+            if pj == 0.0 {
+                continue;
+            }
+            for &(i, _) in compiled.changed_species(j) {
+                let mut mu = 0.0;
+                let mut sigma2 = 0.0;
+                for (jj, &p) in propensities.iter().enumerate() {
+                    if !include(jj) {
+                        continue;
+                    }
+                    let v = compiled
+                        .changed_species(jj)
+                        .iter()
+                        .find(|&&(ii, _)| ii == i)
+                        .map_or(0, |&(_, d)| d) as f64;
+                    mu += v * p;
+                    sigma2 += v * v * p;
+                }
+                let bound = (epsilon * n[i].max(1) as f64).max(1.0);
+                if mu != 0.0 {
+                    tau = tau.min(bound / mu.abs());
+                }
+                if sigma2 > 0.0 {
+                    tau = tau.min(bound * bound / sigma2);
+                }
+            }
+        }
+        tau
+    }
+
+    proptest::proptest! {
+        /// The sparse Cao–Gillespie bound equals the dense one bit for
+        /// bit, with and without a reaction filter, including rows with
+        /// zero propensities and cancelling drifts.
+        #[test]
+        fn sparse_step_bound_matches_the_dense_reference(
+            props in proptest::collection::vec(0u32..6, 7..8),
+            counts in proptest::collection::vec(0i64..300, 5..6),
+            drop in 0usize..8,
+            epsilon in 1u32..8,
+        ) {
+            let crn: Crn = "X -> Y @slow\nY -> X @slow\n2X -> Z @fast\nZ -> 2X @fast\n\
+                            X + Y -> W @fast\nW + X -> W + Y @slow\n3Y -> V + X @slow"
+                .parse()
+                .unwrap();
+            let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+            let columns = TauColumns::new(&compiled);
+            // whole-number-ish propensities make exactly cancelling
+            // drifts (a zero μ) common
+            let props: Vec<f64> = props.iter().map(|&p| f64::from(p) * 0.75).collect();
+            let epsilon = f64::from(epsilon) * 0.01;
+            for filtered in [false, true] {
+                let include = |j: usize| !filtered || j != drop;
+                let sparse = columns.bound(&props, &counts, epsilon, include);
+                let dense = dense_bound(&compiled, &props, &counts, epsilon, include);
+                proptest::prop_assert_eq!(sparse.to_bits(), dense.to_bits());
+            }
+        }
     }
 
     #[test]

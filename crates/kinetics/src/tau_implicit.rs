@@ -39,7 +39,7 @@ use crate::compiled::CompiledCrn;
 use crate::metrics::SimMetrics;
 use crate::ode::OdeWorkspace;
 use crate::stiff::{assemble_w, Lu, Symbolic};
-use crate::tau::{apply_injection, poisson, TauLeapOptions};
+use crate::tau::{apply_injection, poisson, TauColumns, TauLeapOptions};
 use crate::{Schedule, SimError, State, Trace};
 use molseq_crn::Crn;
 use rand::rngs::StdRng;
@@ -107,10 +107,6 @@ pub(crate) struct NewtonWork {
     k_draw: Vec<f64>,
     c: Vec<f64>,
     extents: Vec<i64>,
-    /// For each reaction, its structural reverse partner (`ν_j == −ν_j'`)
-    /// if one exists — the partial-equilibrium candidates the implicit
-    /// selection drops while their propensities are near balance.
-    paired: Vec<Option<usize>>,
     /// Trial integer state for the negativity check.
     n_try: Vec<i64>,
 }
@@ -135,7 +131,6 @@ impl NewtonWork {
             k_draw: vec![0.0; m],
             c: vec![0.0; m],
             extents: vec![0; m],
-            paired: find_reverse_pairs(compiled),
             n_try: vec![0; n],
         }
     }
@@ -198,53 +193,6 @@ fn pair_balanced(propensities: &[f64], paired: &[Option<usize>], j: usize) -> bo
             floor > 0.0 && (pj - pq).abs() <= PAIR_BALANCE_DELTA * floor
         }
     }
-}
-
-/// Cao–Gillespie step selection bounding each consumed species' relative
-/// change by `epsilon`. With `drop_balanced_pairs` — the implicit
-/// selection — reactions whose structural reverse pair is currently at
-/// partial equilibrium are excluded from both the drift (`μ`) and the
-/// variance (`σ²`) sums: the implicit update resolves their fast manifold
-/// itself, so only the genuinely slow reactions should limit the step.
-fn select_tau(
-    compiled: &CompiledCrn,
-    propensities: &[f64],
-    n: &[i64],
-    epsilon: f64,
-    paired: &[Option<usize>],
-    drop_balanced_pairs: bool,
-) -> f64 {
-    let m = compiled.reaction_count();
-    let mut tau = f64::INFINITY;
-    for j in 0..m {
-        if propensities[j] == 0.0 {
-            continue;
-        }
-        for &(i, _) in compiled.changed_species(j) {
-            let mut mu = 0.0;
-            let mut sigma2 = 0.0;
-            for (jj, &p) in propensities.iter().enumerate() {
-                if drop_balanced_pairs && pair_balanced(propensities, paired, jj) {
-                    continue;
-                }
-                let v = compiled
-                    .changed_species(jj)
-                    .iter()
-                    .find(|&&(ii, _)| ii == i)
-                    .map_or(0, |&(_, d)| d) as f64;
-                mu += v * p;
-                sigma2 += v * v * p;
-            }
-            let bound = (epsilon * n[i].max(1) as f64).max(1.0);
-            if mu != 0.0 {
-                tau = tau.min(bound / mu.abs());
-            }
-            if sigma2 > 0.0 {
-                tau = tau.min(bound * bound / sigma2);
-            }
-        }
-    }
-    tau
 }
 
 /// Residual of the implicit update at `x_eval`, written into `f`:
@@ -406,23 +354,8 @@ pub(crate) fn run_tau_implicit(
         "tau-leaping does not support triggers"
     );
     let base = &opts.base.base;
-    if compiled.species_count() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: compiled.species_count(),
-            expected: crn.species_count(),
-        });
-    }
-    if init.len() != crn.species_count() {
-        return Err(SimError::DimensionMismatch {
-            supplied: init.len(),
-            expected: crn.species_count(),
-        });
-    }
-    if !base.t_start().is_finite()
-        || !base.t_end().is_finite()
-        || base.t_end() <= base.t_start()
-        || opts.base.epsilon.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-        || opts.stiff_ratio.partial_cmp(&0.0) == Some(std::cmp::Ordering::Less)
+    crate::tau::validate_tau(crn, compiled, init, &opts.base)?;
+    if opts.stiff_ratio.partial_cmp(&0.0) == Some(std::cmp::Ordering::Less)
         || opts.stiff_ratio.is_nan()
         || opts.tau_max.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
         || opts.newton_tol.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
@@ -482,6 +415,13 @@ fn implicit_core(
     let mut next_record = base.t_start() + base.record_interval();
     let mut steps = 0usize;
     let mut propensities = vec![0.0; m];
+    // Built per run, not cached with the Newton buffers: those are reused
+    // across networks sharing a Jacobian pattern, which can differ in
+    // stoichiometry. `paired[j]` is reaction `j`'s structural reverse
+    // partner (`ν_j == −ν_j'`), if any — the partial-equilibrium
+    // candidates the implicit selection drops while near balance.
+    let paired = find_reverse_pairs(compiled);
+    let columns = TauColumns::new(compiled);
     // Some(true) = the previous leap was implicit; exact fallback steps
     // do not flip the regime.
     let mut prev_implicit: Option<bool> = None;
@@ -532,9 +472,17 @@ fn implicit_core(
             break;
         }
 
-        let tau_ex = select_tau(compiled, &propensities, &n, epsilon, &work.paired, false);
-        let tau_im =
-            select_tau(compiled, &propensities, &n, epsilon, &work.paired, true).min(opts.tau_max);
+        // Cao–Gillespie step selection; the implicit one drops reactions
+        // whose structural reverse pair is at partial equilibrium from
+        // the drift and variance sums — the implicit update resolves
+        // their fast manifold itself, so only the genuinely slow
+        // reactions should limit the step.
+        let tau_ex = columns.bound(&propensities, &n, epsilon, |_| true);
+        let tau_im = columns
+            .bound(&propensities, &n, epsilon, |j| {
+                !pair_balanced(&propensities, &paired, j)
+            })
+            .min(opts.tau_max);
         let stiff = opts.stiff_ratio == 0.0 || tau_im > opts.stiff_ratio * tau_ex;
         let tau = if stiff { tau_im } else { tau_ex };
         let stop = base.t_end().min(injection_time);

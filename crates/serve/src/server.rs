@@ -18,6 +18,7 @@ use molseq_sweep::{
     run_cell, run_group, CancelToken, CellOutcome, CellResult, GroupJob, JobBudget, JobCtx,
     JobError, JobStatus, JsonValue, SweepJob, SweepOptions,
 };
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -168,13 +169,29 @@ struct JobPlan {
     /// Resolved lock-step lanes per queue unit (1 = scalar). ODE, SSA and
     /// tau-leap jobs group; hybrid jobs are always scalar.
     batch: usize,
+    /// The default-spec compile, shared with the compiled-CRN cache.
+    base: Arc<CompiledCrn>,
     cells: Vec<PlanCell>,
 }
 
-/// One planned cell: its label and its (possibly rebound) compile.
+/// One planned cell: its label and its rate override, if any.
 struct PlanCell {
     label: String,
-    compiled: Arc<CompiledCrn>,
+    spec: Option<SimSpec>,
+}
+
+impl JobPlan {
+    /// The compile `cell` runs on: the shared base, or the base rebound
+    /// to the cell's rate override. Rebinding when the cell runs (tens of
+    /// microseconds, against cells of milliseconds) rather than when the
+    /// job is planned keeps finished jobs — which the server retains for
+    /// status queries — from pinning one compile per override cell.
+    fn compiled(&self, cell: &PlanCell) -> Cow<'_, CompiledCrn> {
+        match &cell.spec {
+            None => Cow::Borrowed(&*self.base),
+            Some(spec) => Cow::Owned(self.base.rebind(spec)),
+        }
+    }
 }
 
 /// A job's mutable progress, guarded by the entry's mutex.
@@ -604,13 +621,9 @@ fn build_plan(shared: &Shared, req: &SubmitRequest, batch: usize) -> Result<JobP
         .cells
         .iter()
         .map(|cell| {
-            let compiled = match cell_spec(cell)? {
-                None => Arc::clone(&base),
-                Some(spec) => Arc::new(base.rebind(&spec)),
-            };
             Ok(PlanCell {
                 label: cell.label.clone(),
-                compiled,
+                spec: cell_spec(cell)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -622,6 +635,7 @@ fn build_plan(shared: &Shared, req: &SubmitRequest, batch: usize) -> Result<JobP
         t_end: req.t_end,
         record_interval: req.record_interval,
         batch,
+        base,
         cells,
     })
 }
@@ -942,6 +956,8 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
     let chunk = &plan.cells[base..base + width];
     let labels = chunk.iter().map(|cell| cell.label.clone()).collect();
     let group = GroupJob::new(labels, move |ctxs: &[JobCtx]| {
+        let compiled: Vec<Cow<CompiledCrn>> =
+            chunk.iter().map(|cell| plan.compiled(cell)).collect();
         let hooks: Vec<_> = ctxs.iter().map(JobCtx::step_hook).collect();
         let sinks: Vec<Cell<SimMetrics>> = ctxs
             .iter()
@@ -960,10 +976,10 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
         };
         let results = match plan.method {
             Method::Ode => {
-                let lanes: Vec<BatchLane> = chunk
+                let lanes: Vec<BatchLane> = compiled
                     .iter()
                     .enumerate()
-                    .map(|(k, cell)| {
+                    .map(|(k, compiled)| {
                         let mut opts = OdeOptions::default()
                             .with_t_end(plan.t_end)
                             .with_step_hook(&hooks[k])
@@ -972,7 +988,7 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
                             opts = opts.with_record_interval(dt);
                         }
                         BatchLane {
-                            compiled: &cell.compiled,
+                            compiled,
                             init: &plan.init,
                             schedule: &plan.schedule,
                             options: opts,
@@ -983,11 +999,11 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
                 run_ode_batch(&plan.crn, &lanes, &mut workspace)
             }
             Method::Ssa => {
-                let lanes: Vec<SsaBatchLane> = chunk
+                let lanes: Vec<SsaBatchLane> = compiled
                     .iter()
                     .enumerate()
-                    .map(|(k, cell)| SsaBatchLane {
-                        compiled: &cell.compiled,
+                    .map(|(k, compiled)| SsaBatchLane {
+                        compiled,
                         init: &plan.init,
                         schedule: &plan.schedule,
                         options: stoch_opts(k),
@@ -997,11 +1013,11 @@ fn run_plan_group(entry: &JobEntry, base: usize, width: usize) -> Vec<CellRow> {
                 run_ssa_batch(&plan.crn, &lanes, &mut workspace)
             }
             Method::Tau => {
-                let lanes: Vec<TauBatchLane> = chunk
+                let lanes: Vec<TauBatchLane> = compiled
                     .iter()
                     .enumerate()
-                    .map(|(k, cell)| TauBatchLane {
-                        compiled: &cell.compiled,
+                    .map(|(k, compiled)| TauBatchLane {
+                        compiled,
                         init: &plan.init,
                         schedule: &plan.schedule,
                         options: TauLeapOptions {
@@ -1058,6 +1074,7 @@ fn row_from_result(result: CellResult<Vec<f64>>) -> CellRow {
 }
 
 fn simulate_cell(plan: &JobPlan, cell: &PlanCell, ctx: &JobCtx) -> Result<Vec<f64>, JobError> {
+    let compiled = plan.compiled(cell);
     let hook = ctx.step_hook();
     let sink = Cell::new(SimMetrics::default());
     let result = match plan.method {
@@ -1070,7 +1087,7 @@ fn simulate_cell(plan: &JobPlan, cell: &PlanCell, ctx: &JobCtx) -> Result<Vec<f6
             if let Some(dt) = plan.record_interval {
                 opts = opts.with_record_interval(dt);
             }
-            Simulation::new(&plan.crn, &cell.compiled)
+            Simulation::new(&plan.crn, &compiled)
                 .init(&plan.init)
                 .schedule(&plan.schedule)
                 .options(opts)
@@ -1084,7 +1101,7 @@ fn simulate_cell(plan: &JobPlan, cell: &PlanCell, ctx: &JobCtx) -> Result<Vec<f6
             if let Some(dt) = plan.record_interval {
                 opts = opts.with_record_interval(dt);
             }
-            Simulation::new(&plan.crn, &cell.compiled)
+            Simulation::new(&plan.crn, &compiled)
                 .init(&plan.init)
                 .schedule(&plan.schedule)
                 .options(opts)
@@ -1099,7 +1116,7 @@ fn simulate_cell(plan: &JobPlan, cell: &PlanCell, ctx: &JobCtx) -> Result<Vec<f6
             if let Some(dt) = plan.record_interval {
                 base = base.with_record_interval(dt);
             }
-            Simulation::new(&plan.crn, &cell.compiled)
+            Simulation::new(&plan.crn, &compiled)
                 .init(&plan.init)
                 .schedule(&plan.schedule)
                 .options(TauLeapOptions {
@@ -1117,7 +1134,7 @@ fn simulate_cell(plan: &JobPlan, cell: &PlanCell, ctx: &JobCtx) -> Result<Vec<f6
             if let Some(dt) = plan.record_interval {
                 opts = opts.with_record_interval(dt);
             }
-            Simulation::new(&plan.crn, &cell.compiled)
+            Simulation::new(&plan.crn, &compiled)
                 .init(&plan.init)
                 .schedule(&plan.schedule)
                 .options(opts)
@@ -1198,9 +1215,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn poisoned_progress_is_recovered_and_the_job_settles_failed() {
-        let shared = Shared {
+    fn test_shared() -> Shared {
+        Shared {
             config: ServerConfig::default(),
             cache: CompiledCache::new(),
             queue: Mutex::new(VecDeque::new()),
@@ -1211,7 +1227,75 @@ mod tests {
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
+        }
+    }
+
+    fn test_entry(plan: JobPlan, cells: usize) -> Arc<JobEntry> {
+        Arc::new(JobEntry {
+            id: "j-test".to_owned(),
+            tenant: "acme".to_owned(),
+            plan,
+            opts: SweepOptions::default(),
+            cancel: CancelToken::new(),
+            progress: Mutex::new(JobProgress {
+                rows: vec![None; cells],
+                completed: 0,
+                finished: false,
+                cancel_requested: false,
+            }),
+            progressed: Condvar::new(),
+        })
+    }
+
+    #[test]
+    fn finished_rate_override_jobs_retain_only_the_cached_base_compile() {
+        let shared = test_shared();
+        let cell = |label: &str, k_fast: Option<f64>| CellSpec {
+            label: label.to_owned(),
+            k_fast,
+            k_slow: k_fast.map(|_| 1.0),
         };
+        let req = SubmitRequest {
+            tenant: "acme".to_owned(),
+            program: Program::Crn("X -> Y @fast\nY -> X @slow".to_owned()),
+            init: vec![("X".to_owned(), 20.0)],
+            method: Method::Ssa,
+            t_end: 1.0,
+            record_interval: None,
+            seed: 4,
+            injections: vec![],
+            batch: Some(2),
+            cells: vec![cell("a", Some(50.0)), cell("b", None), cell("c", Some(7.0))],
+        };
+        let plan = build_plan(&shared, &req, 2).expect("plan builds");
+        let entry = test_entry(plan, 3);
+        let scalar: Vec<CellRow> = (0..3).map(|i| run_plan_cell(&entry, i)).collect();
+        let mut grouped = run_plan_group(&entry, 0, 2);
+        grouped.push(run_plan_cell(&entry, 2));
+        let strip = |row: &CellRow| {
+            let mut row = row.clone();
+            row.metrics
+                .retain(|(name, _)| name != "batch_width" && name != "lanes_retired");
+            row
+        };
+        for (a, b) in scalar.iter().zip(&grouped) {
+            assert_eq!(a.status, JobStatus::Ok, "{}", a.detail);
+            assert_eq!(strip(a), strip(b), "cell {}", a.label);
+        }
+        // the override cells ran on their own rates
+        assert_ne!(scalar[0].final_state, scalar[1].final_state);
+        // the finished job holds exactly one compile: the cache's base
+        let cached = shared
+            .cache
+            .get_or_compile(&entry.plan.crn, &SimSpec::default());
+        assert!(Arc::ptr_eq(&entry.plan.base, &cached));
+        drop(cached);
+        assert_eq!(Arc::strong_count(&entry.plan.base), 2, "cache + plan only");
+    }
+
+    #[test]
+    fn poisoned_progress_is_recovered_and_the_job_settles_failed() {
+        let shared = test_shared();
         let req = SubmitRequest {
             tenant: "acme".to_owned(),
             program: Program::Crn("X -> Y @slow".to_owned()),
@@ -1237,20 +1321,7 @@ mod tests {
         };
         admit(&shared, "acme").expect("slot free");
         let plan = build_plan(&shared, &req, 1).expect("plan builds");
-        let entry = Arc::new(JobEntry {
-            id: "j-test".to_owned(),
-            tenant: "acme".to_owned(),
-            plan,
-            opts: SweepOptions::default(),
-            cancel: CancelToken::new(),
-            progress: Mutex::new(JobProgress {
-                rows: vec![None, None],
-                completed: 0,
-                finished: false,
-                cancel_requested: false,
-            }),
-            progressed: Condvar::new(),
-        });
+        let entry = test_entry(plan, 2);
 
         // poison the progress mutex exactly as a panicking worker would
         let poisoner = Arc::clone(&entry);
