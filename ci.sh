@@ -71,7 +71,10 @@
 #                     ssa_sweep run exits 0 with "correct": true — the
 #                     benchmark's correctness oracles (filter outputs,
 #                     counter values, stiff-clock levels) over the exact
-#                     SSA, tau and hybrid engines
+#                     SSA, tau and hybrid engines; a 2-second serve_mixed
+#                     run does the same for the server, whose sampled
+#                     rows must byte-match local `run_cell` under the
+#                     round-robin dispatch
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -465,5 +468,10 @@ MOLBENCH_LINE="$(cargo run --quiet --release --offline --manifest-path molbench/
   || { echo "ci: molbench ssa_sweep smoke run failed" >&2; exit 1; }
 echo "$MOLBENCH_LINE" | grep -Eq '"correct": ?true' \
   || { echo "ci: molbench ssa_sweep smoke run not correct: $MOLBENCH_LINE" >&2; exit 1; }
+MOLBENCH_LINE="$(cargo run --quiet --release --offline --manifest-path molbench/Cargo.toml -- \
+  --workload serve_mixed --seed 1 --seconds 2 --trace 0 | tail -n 1)" \
+  || { echo "ci: molbench serve_mixed smoke run failed" >&2; exit 1; }
+echo "$MOLBENCH_LINE" | grep -Eq '"correct": ?true' \
+  || { echo "ci: molbench serve_mixed smoke run not correct: $MOLBENCH_LINE" >&2; exit 1; }
 
 echo "ci: all stages passed"

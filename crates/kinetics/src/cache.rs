@@ -22,7 +22,7 @@ use crate::{CompiledCrn, SimSpec};
 use molseq_crn::Crn;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One cached compile plus the logical timestamp of its last use.
 #[derive(Debug)]
@@ -121,7 +121,7 @@ impl CompiledCache {
     pub fn get_or_compile(&self, crn: &Crn, spec: &SimSpec) -> Arc<CompiledCrn> {
         let key = crn.structural_hash();
         let entry = {
-            let mut map = self.map.lock().expect("compiled cache poisoned");
+            let mut map = self.lock_map();
             map.clock += 1;
             let stamp = map.clock;
             match map.entries.get_mut(&key) {
@@ -184,17 +184,23 @@ impl CompiledCache {
     /// Distinct network structures currently cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .expect("compiled cache poisoned")
-            .entries
-            .len()
+        self.lock_map().entries.len()
     }
 
     /// Whether the cache holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Locks the map, recovering it when a thread panicked while holding
+    /// the lock. Every update leaves the map consistent: an entry is
+    /// inserted only after its compile returned, and an eviction removes
+    /// a whole entry, so a panic mid-compile costs at most the evicted
+    /// entries — never a half-built one. One panic therefore cannot wedge
+    /// the cache for every later request.
+    fn lock_map(&self) -> MutexGuard<'_, CacheMap> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -263,6 +269,28 @@ mod tests {
         });
         assert_eq!(cache.hits() + cache.misses(), 128);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_cache() {
+        let cache = CompiledCache::new();
+        let _ = cache.get_or_compile(&chain(2), &SimSpec::default());
+        let outcome = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cache.map.lock().expect("first lock");
+                    panic!("deliberate poison");
+                })
+                .join()
+        });
+        assert!(outcome.is_err());
+        assert!(cache.map.is_poisoned());
+        assert_eq!(cache.len(), 1);
+        let hit = cache.get_or_compile(&chain(2), &SimSpec::default());
+        assert_eq!(*hit, CompiledCrn::new(&chain(2), &SimSpec::default()));
+        let _ = cache.get_or_compile(&chain(3), &SimSpec::default());
+        assert_eq!(cache.len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

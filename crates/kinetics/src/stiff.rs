@@ -330,7 +330,10 @@ impl Symbolic {
     }
 
     /// Scatters `W' = P·(I − h·d·J)·Pᵀ` over the permuted Jacobian
-    /// pattern into the dense scratch matrix `w` (`hd = h·D`).
+    /// pattern into the dense scratch matrix `w` (`hd = h·D`). Only the
+    /// elimination structure is written: entries outside it keep whatever
+    /// they held, because [`factor`](Self::factor) and
+    /// [`solve`](Self::solve) never read them.
     pub(crate) fn assemble(
         &self,
         compiled: &CompiledCrn,
@@ -339,7 +342,9 @@ impl Symbolic {
         w: &mut [f64],
     ) {
         let n = self.n;
-        w.fill(0.0);
+        for &p in &self.fill_idx {
+            w[p] = 0.0;
+        }
         let (row_ptr, col_idx) = compiled.jacobian_pattern();
         for i in 0..n {
             let base = self.pinv[i] * n;
@@ -788,7 +793,11 @@ pub(crate) struct RosenbrockWork {
     w_spare: Vec<f64>,
     /// The pivot permutation buffer when no `Factored::Dense` owns it.
     pivots_spare: Vec<usize>,
+    /// `f(y)` at the state the next step starts from, when `f0_fresh`.
     f0: Vec<f64>,
+    /// Whether `f0` holds `f` at the caller's current state: computed by a
+    /// step from there, or carried over from an accepted step's `f2`.
+    f0_fresh: bool,
     f1: Vec<f64>,
     f2: Vec<f64>,
     k1: Vec<f64>,
@@ -822,6 +831,7 @@ impl RosenbrockWork {
             w_spare: vec![0.0; n * n],
             pivots_spare: vec![0usize; n],
             f0: vec![0.0; n],
+            f0_fresh: false,
             f1: vec![0.0; n],
             f2: vec![0.0; n],
             k1: vec![0.0; n],
@@ -849,19 +859,25 @@ impl RosenbrockWork {
         self.jac_vals.len() == compiled.jacobian_nnz() && self.sym.matches(compiled)
     }
 
-    /// Forgets the cached Jacobian and factorization. Call when the state
-    /// changes discontinuously (injections, trigger firings) or when the
-    /// workspace is recycled for a new simulation: the next step then
-    /// behaves exactly like the first step of a fresh workspace.
+    /// Forgets the cached Jacobian, factorization and `f(y)`. Call when
+    /// the state changes discontinuously (injections, trigger firings) or
+    /// when the workspace is recycled for a new simulation: the next step
+    /// then behaves exactly like the first step of a fresh workspace.
     pub(crate) fn invalidate(&mut self) {
         self.jac_fresh = false;
         self.jac_age = 0;
+        self.f0_fresh = false;
     }
 
     /// Bookkeeping after an accepted step: the cached Jacobian is now one
-    /// state older.
+    /// state older, and the step's `f(y_new)` is the next step's `f0`.
+    /// The caller's projection of `y_new` onto `y ≥ 0` leaves `f`
+    /// unchanged, because [`CompiledCrn::derivative`] clamps every read
+    /// at zero.
     pub(crate) fn on_accept(&mut self) {
         self.jac_age += 1;
+        std::mem::swap(&mut self.f0, &mut self.f2);
+        self.f0_fresh = true;
     }
 
     /// Bookkeeping after a rejected step: a Jacobian evaluated at the
@@ -949,7 +965,12 @@ impl RosenbrockWork {
         }
         let lu = self.lu.take().expect("factored above");
 
-        compiled.derivative(y, &mut self.f0);
+        // a rejected step retries from the same `y`, an accepted one
+        // handed its `f2` over in `on_accept`
+        if !self.f0_fresh {
+            compiled.derivative(y, &mut self.f0);
+            self.f0_fresh = true;
+        }
         self.k1.copy_from_slice(&self.f0);
         lu.solve(&self.sym, &mut self.k1, &mut self.bperm);
 
@@ -1157,6 +1178,23 @@ mod tests {
         assert!(reused.step(&compiled, &y1, 0.01, 8));
         assert_eq!(fresh.y_new, reused.y_new);
         assert_eq!(fresh.err, reused.err);
+    }
+
+    #[test]
+    fn accepted_step_carries_f_into_the_next_step() {
+        // the carried-over f(y_new) must reproduce a fresh workspace's
+        // step from the same state bit for bit
+        let crn: Crn = "2X -> Y @slow\nY -> X @fast".parse().unwrap();
+        let compiled = CompiledCrn::new(&crn, &SimSpec::default());
+        let mut work = RosenbrockWork::new(&compiled);
+        assert!(work.step(&compiled, &[4.0, 0.5], 0.01, 0));
+        work.on_accept();
+        let y1 = work.y_new.clone();
+        assert!(work.step(&compiled, &y1, 0.02, 0));
+        let mut fresh = RosenbrockWork::new(&compiled);
+        assert!(fresh.step(&compiled, &y1, 0.02, 0));
+        assert_eq!(work.y_new, fresh.y_new);
+        assert_eq!(work.err, fresh.err);
     }
 
     #[test]

@@ -226,12 +226,60 @@ struct Counters {
     running_cells: AtomicU64,
 }
 
+/// A work unit `(job, first cell index, lane count)`: one cell for
+/// scalar jobs, a lock-step group of consecutive cells otherwise.
+type WorkUnit = (Arc<JobEntry>, usize, usize);
+
+/// The work queue: one FIFO of units per tenant with queued work, in
+/// turn order. Workers serve the tenants round-robin — the front tenant
+/// gives up its oldest unit and goes to the back of the line if it has
+/// more — so a tenant's small job waits for at most one unit of every
+/// other queued tenant, not for their whole backlog. Within a tenant,
+/// units keep submission order. A tenant whose FIFO empties leaves the
+/// line, so the queue holds only tenants with work, however many names
+/// have ever submitted.
+#[derive(Default)]
+struct WorkQueue {
+    turns: VecDeque<(String, VecDeque<WorkUnit>)>,
+}
+
+impl WorkQueue {
+    /// Appends `units` (at least one) to `tenant`'s FIFO; a tenant with
+    /// nothing queued joins the back of the turn line.
+    fn push(&mut self, tenant: &str, units: impl IntoIterator<Item = WorkUnit>) {
+        match self.turns.iter_mut().find(|(name, _)| name == tenant) {
+            Some((_, fifo)) => fifo.extend(units),
+            None => self
+                .turns
+                .push_back((tenant.to_owned(), units.into_iter().collect())),
+        }
+    }
+
+    /// Takes the oldest unit of the tenant whose turn it is.
+    fn pop(&mut self) -> Option<WorkUnit> {
+        let (tenant, mut fifo) = self.turns.pop_front()?;
+        let unit = fifo.pop_front();
+        if !fifo.is_empty() {
+            self.turns.push_back((tenant, fifo));
+        }
+        unit
+    }
+
+    /// Queued cells per tenant with queued work, in turn order.
+    fn depths(&self) -> impl Iterator<Item = (&str, usize)> {
+        self.turns.iter().map(|(tenant, fifo)| {
+            (
+                tenant.as_str(),
+                fifo.iter().map(|(_, _, width)| width).sum(),
+            )
+        })
+    }
+}
+
 struct Shared {
     config: ServerConfig,
     cache: CompiledCache,
-    /// Work units `(job, first cell index, lane count)`: one cell for
-    /// scalar jobs, a lock-step group of consecutive cells otherwise.
-    queue: Mutex<VecDeque<(Arc<JobEntry>, usize, usize)>>,
+    queue: Mutex<WorkQueue>,
     queue_ready: Condvar,
     jobs: Mutex<HashMap<String, Arc<JobEntry>>>,
     inflight: Mutex<HashMap<String, usize>>,
@@ -270,7 +318,7 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             cache,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(WorkQueue::default()),
             queue_ready: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -565,16 +613,11 @@ fn handle_submit(shared: &Shared, req: &SubmitRequest) -> Result<JsonValue, Stri
         progressed: Condvar::new(),
     });
     lock_recover(&shared.jobs).insert(id.clone(), Arc::clone(&entry));
-    {
-        let mut queue = lock_recover(&shared.queue);
-        let batch = entry.plan.batch.max(1);
-        let mut base = 0;
-        while base < cells {
-            let width = batch.min(cells - base);
-            queue.push_back((Arc::clone(&entry), base, width));
-            base += width;
-        }
-    }
+    let batch = entry.plan.batch.max(1);
+    let units = (0..cells)
+        .step_by(batch)
+        .map(|base| (Arc::clone(&entry), base, batch.min(cells - base)));
+    lock_recover(&shared.queue).push(&entry.tenant, units);
     shared.queue_ready.notify_all();
     shared
         .counters
@@ -834,16 +877,16 @@ fn snapshot_counters(shared: &Shared) -> Vec<(String, f64)> {
         ("jobs_cancelled".to_owned(), load(&c.jobs_cancelled)),
         ("jobs_completed".to_owned(), load(&c.jobs_completed)),
         ("jobs_submitted".to_owned(), load(&c.jobs_submitted)),
-        (
-            "queued_cells".to_owned(),
-            lock_recover(&shared.queue)
-                .iter()
-                .map(|(_, _, width)| *width as f64)
-                .sum(),
-        ),
         ("running_cells".to_owned(), load(&c.running_cells)),
         ("tenant_rejections".to_owned(), load(&c.tenant_rejections)),
     ];
+    // one snapshot, so the total always equals the per-tenant sum
+    let mut queued = 0;
+    for (tenant, depth) in lock_recover(&shared.queue).depths() {
+        counters.push((format!("queued_cells.{tenant}"), depth as f64));
+        queued += depth;
+    }
+    counters.push(("queued_cells".to_owned(), queued as f64));
     for (tenant, count) in lock_recover(&shared.rejections).iter() {
         counters.push((format!("rejections.{tenant}"), *count as f64));
     }
@@ -856,7 +899,7 @@ fn worker_loop(shared: &Shared) {
         let item = {
             let mut queue = lock_recover(&shared.queue);
             loop {
-                if let Some(item) = queue.pop_front() {
+                if let Some(item) = queue.pop() {
                     break Some(item);
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -1219,7 +1262,7 @@ mod tests {
         Shared {
             config: ServerConfig::default(),
             cache: CompiledCache::new(),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(WorkQueue::default()),
             queue_ready: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -1245,6 +1288,50 @@ mod tests {
             }),
             progressed: Condvar::new(),
         })
+    }
+
+    #[test]
+    fn work_queue_serves_tenants_round_robin_and_forgets_emptied_ones() {
+        let shared = test_shared();
+        let req = SubmitRequest {
+            tenant: "acme".to_owned(),
+            program: Program::Crn("X -> Y @slow".to_owned()),
+            init: vec![],
+            method: Method::Ssa,
+            t_end: 1.0,
+            record_interval: None,
+            seed: 1,
+            injections: vec![],
+            batch: Some(1),
+            cells: vec![],
+        };
+        let entry = test_entry(build_plan(&shared, &req, 1).expect("plan builds"), 0);
+        let unit = |base: usize, width: usize| (Arc::clone(&entry), base, width);
+        let mut queue = WorkQueue::default();
+        queue.push("bulk", (0..4).map(|base| unit(base, 1)));
+        queue.push("probe", [unit(10, 1)]);
+        queue.push("grid", [unit(20, 2)]);
+        assert_eq!(
+            queue.depths().collect::<Vec<_>>(),
+            [("bulk", 4), ("probe", 1), ("grid", 2)]
+        );
+        let mut order: Vec<usize> = (0..2)
+            .map(|_| queue.pop().expect("queued work").1)
+            .collect();
+        // the probe's FIFO emptied: it left the turn line
+        assert_eq!(
+            queue.depths().collect::<Vec<_>>(),
+            [("grid", 2), ("bulk", 3)]
+        );
+        // a returning tenant joins the back; more work for a queued
+        // tenant extends its FIFO without moving its turn
+        queue.push("probe", [unit(11, 1)]);
+        queue.push("grid", [unit(22, 1)]);
+        while let Some((_, base, _)) = queue.pop() {
+            order.push(base);
+        }
+        assert_eq!(order, [0, 10, 20, 1, 11, 22, 2, 3]);
+        assert_eq!(queue.depths().count(), 0);
     }
 
     #[test]

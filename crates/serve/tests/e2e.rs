@@ -257,8 +257,87 @@ fn admission_control_rejects_at_the_inflight_limit_and_cancel_frees_the_slot() {
     assert_eq!(counter(&stats, "rejections.busy"), 1.0);
     assert_eq!(counter(&stats, "jobs_cancelled"), 1.0);
     assert_eq!(counter(&stats, "cells_cancelled"), 2.0);
+    // drained tenants leave the queue: no per-tenant depth lingers
+    assert_eq!(counter(&stats, "queued_cells"), 0.0);
+    assert!(
+        !stats.iter().any(|(n, _)| n.starts_with("queued_cells.")),
+        "{stats:?}"
+    );
 
     busy.shutdown().expect("shutdown round trip");
+    server.join();
+}
+
+/// A scalar SSA job on a two-way flip that keeps firing events: `cells`
+/// cells whose cost scales with `t_end`.
+fn flip_submit(tenant: &str, cells: usize, t_end: f64) -> SubmitRequest {
+    SubmitRequest {
+        tenant: tenant.to_owned(),
+        program: Program::Crn("X -> Y @slow\nY -> X @slow".to_owned()),
+        init: vec![("X".to_owned(), 100.0)],
+        method: Method::Ssa,
+        t_end,
+        record_interval: Some(t_end),
+        seed: 5,
+        injections: vec![],
+        batch: Some(1),
+        cells: (0..cells)
+            .map(|i| CellSpec {
+                label: format!("rep={i}"),
+                k_fast: None,
+                k_slow: None,
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn a_small_job_waits_for_at_most_one_unit_of_a_queued_bulk_job() {
+    // one worker, so every cell runs in dispatch order
+    let server = Server::start(ServerConfig::default().with_workers(1)).expect("server boots");
+    let mut bulk = Client::connect(server.addr()).expect("client connects");
+    let mut probe = Client::connect(server.addr()).expect("client connects");
+
+    // twelve scalar cells of tens of milliseconds each, then one small
+    // cell from another tenant while the bulk backlog is still queued
+    let backlog = bulk
+        .submit(&flip_submit("bulk", 12, 20_000.0))
+        .expect("bulk job admitted");
+    let small = probe
+        .submit(&flip_submit("probe", 1, 1.0))
+        .expect("probe job admitted");
+    // read after the probe is queued: from here the worker finishes the
+    // bulk cell it is running and at most one more before the probe's
+    let before = bulk.status(&backlog.job_id).expect("status").completed;
+    let stats = bulk.stats().expect("stats round trip");
+    let per_tenant: f64 = stats
+        .iter()
+        .filter(|(n, _)| n.starts_with("queued_cells."))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(per_tenant, counter(&stats, "queued_cells"), "{stats:?}");
+    assert!(counter(&stats, "queued_cells.bulk") > 0.0, "{stats:?}");
+
+    let rows = probe.fetch_all(&small.job_id).expect("probe completes");
+    let after = bulk.status(&backlog.job_id).expect("status").completed;
+    assert_eq!(rows[0].status, JobStatus::Ok, "{}", rows[0].detail);
+    assert!(
+        after - before <= 2,
+        "{} bulk cells finished while the probe waited",
+        after - before
+    );
+
+    // cancel the rest of the backlog rather than wait it out
+    bulk.cancel(&backlog.job_id).expect("cancel round trip");
+    assert_eq!(bulk.fetch_all(&backlog.job_id).expect("drains").len(), 12);
+    let stats = bulk.stats().expect("stats round trip");
+    assert_eq!(counter(&stats, "queued_cells"), 0.0);
+    assert!(
+        !stats.iter().any(|(n, _)| n.starts_with("queued_cells.")),
+        "{stats:?}"
+    );
+
+    bulk.shutdown().expect("shutdown round trip");
     server.join();
 }
 
